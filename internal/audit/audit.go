@@ -10,12 +10,12 @@
 // entry per operation, persisted with a configurable sync policy
 // (always / everysec / none — Redis' appendfsync spectrum).
 //
-// The trail is a two-stage pipeline (see pipeline.go): callers stage
-// entries through a sequencer plus lock-striped buffers, and a dedicated
-// writer goroutine batch-encodes and group-commits them into time-bounded
-// on-disk segments (segment.go). Queries answer from disk + memory, so
-// GET-SYSTEM-LOGS results are independent of the in-memory tail's
-// eviction cap and survive restarts.
+// The append path rides internal/logpipe (see pipeline.go): callers stage
+// entries through its sequencer, and its writer goroutine hands dense,
+// ordered batches to this package's sink, which group-commits them into
+// size-bounded on-disk segments (segment.go). Queries answer from disk +
+// memory, so GET-SYSTEM-LOGS results are independent of the in-memory
+// tail's eviction cap and survive restarts.
 package audit
 
 import (

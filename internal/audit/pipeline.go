@@ -1,51 +1,28 @@
 package audit
 
 import (
-	"errors"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/logpipe"
 )
 
-// The append path is a two-stage pipeline:
-//
-//	caller ── sequencer ── lock-striped staging ──▶ writer goroutine
-//	            (Seq+Time)       (per-stripe mutex)      │
-//	                                                     ├─ batch-encode → segment frame
-//	                                                     ├─ group fsync (policy-driven)
-//	                                                     └─ publish to the memory tail
-//
-// The sequencer assigns Seq and Time together in one short critical
-// section, so sequence order equals time order — the property Range's
-// binary search and the replay monotonicity check both rely on. Staging
-// then only contends per stripe (seq mod N), so N engines/shards/
-// connections submitting concurrently do not serialize behind one
-// encode+write lock the way the old single-mutex log did. The writer
-// drains the stripes, restores dense sequence order (a producer may be
-// preempted between sequencing and staging), writes one batch frame,
-// applies the sync policy, and publishes the batch to the in-memory
-// tail. Compliance ordering therefore survives the asynchrony: entries
-// reach disk and the tail in exact sequence order, and every query
-// barriers on the writer having consumed all sequenced entries before
-// answering.
-//
-// Backpressure is a bounded slot semaphore: when QueueDepth entries are
-// staged but unwritten, Append blocks until the writer catches up —
-// the trail is lossless by construction; only latency degrades.
+// The append path rides internal/logpipe. The pipe's sequencer stamps Seq
+// and Time together in one critical section, so sequence order equals
+// time order — the property Range's binary search and the replay
+// monotonicity check both rely on — and hands the writer goroutine dense,
+// ordered batches. This file keeps what is audit-specific: the sink (one
+// segment frame per batch, then publication to the in-memory tail),
+// retention compaction, and the queries, which barrier on the pipe having
+// written every sequenced entry before answering from disk + memory.
 
 const (
 	defaultMemoryCap    = 1 << 20
-	defaultQueueDepth   = 1 << 14
 	defaultSegmentBytes = 4 << 20
-	numStripes          = 8
-	syncInterval        = time.Second
 )
-
-var errClosed = errors.New("audit: append to closed log")
 
 // Config configures a Log.
 type Config struct {
@@ -65,10 +42,6 @@ type Config struct {
 	// entries are evicted from memory but remain queryable from the
 	// segment store. 0 means a default of 1<<20 entries.
 	MemoryCap int
-	// QueueDepth bounds staged-but-unwritten entries in the pipeline
-	// modes; a full queue blocks Append (backpressure, never loss).
-	// 0 means a default of 1<<14.
-	QueueDepth int
 	// SegmentBytes rolls the active segment once it holds this many
 	// encoded entry bytes. 0 means a default of 4 MiB.
 	SegmentBytes int64
@@ -80,18 +53,10 @@ type Config struct {
 	Retention time.Duration
 }
 
-type stripe struct {
-	mu  sync.Mutex
-	buf []Entry
-	// Pad each stripe past a cache line so adjacent stripe locks do not
-	// false-share under concurrent producers.
-	_ [64]byte
-}
-
 // Log is an append-only audit trail. It is safe for concurrent use.
 type Log struct {
 	policy Policy
-	pipe   Pipeline
+	mode   Pipeline
 	clk    clock.Clock
 	memCap int
 	store  *segmentStore // nil = memory-only
@@ -102,105 +67,93 @@ type Log struct {
 	compactGen     atomic.Int64
 	compactRunning atomic.Bool
 
-	// Sequencer. Guards nextSeq, the closed flag, and the Seq↔Time
-	// consistency described above. Deliberately tiny: no encoding or IO
-	// ever happens under it.
-	seqMu   sync.Mutex
-	nextSeq uint64
-	closed  bool
+	// pipe owns sequencing, staging, the watermarks and the sticky error.
+	pipe *logpipe.Pipe[Entry]
 
-	// Staging (pipeline modes only).
-	stripes   []stripe
-	slots     chan struct{} // backpressure semaphore
-	notify    chan struct{} // writer wake-up, capacity 1
-	quit      chan struct{}
-	done      chan struct{}
-	failedCh  chan struct{} // closed on the first sticky error
-	hasWriter bool
-	failed    atomic.Bool // mirrors werr != nil without taking mu
-	maxQueue  atomic.Int64
+	mu      sync.Mutex
+	entries []Entry // in-memory tail, ordered by Seq (and Time)
+	stats   Stats   // Appended, Bytes and the compaction counters
+}
 
-	// Published state: the memory tail, watermarks and counters. The
-	// writer (or the inline sync path) publishes under mu and broadcasts
-	// cond; committers and query barriers wait on it.
-	mu           sync.Mutex
-	cond         *sync.Cond
-	entries      []Entry // in-memory tail, ordered by Seq (and Time)
-	written      uint64  // highest Seq written (tail + segment file buffer)
-	durable      uint64  // highest Seq covered by an fsync
-	werr         error   // sticky writer/disk error
-	stats        Stats
-	lastSync     time.Time
-	dirty        bool // segment bytes not yet fsynced
-	writerExited bool
+// pipeModes maps the (Pipeline, Policy) pair onto logpipe's wait depth and
+// flush policy. A memory-only trail has nothing to flush: it is as durable
+// as it gets the moment it is written, so a batched+always committer
+// waits for written, not for an fsync that will never come.
+func pipeModes(mode Pipeline, policy Policy, onDisk bool) (logpipe.Wait, logpipe.Flush) {
+	if !onDisk {
+		policy = SyncNone
+	}
+	wait, flush := logpipe.WaitNone, logpipe.FlushNever
+	switch policy {
+	case SyncAlways:
+		flush = logpipe.FlushEachBatch
+	case SyncEverySec:
+		flush = logpipe.FlushEverySec
+	}
+	if mode == PipeBatched {
+		wait = logpipe.WaitWritten
+		if policy == SyncAlways {
+			wait = logpipe.WaitDurable
+		}
+	}
+	return wait, flush
 }
 
 // Open creates a Log per cfg, recovering any existing segments at
 // cfg.Path (their summaries restore the sequence and the counters).
 func Open(cfg Config) (*Log, error) {
-	l := &Log{policy: cfg.Policy, pipe: cfg.Pipeline, clk: cfg.Clock, memCap: cfg.MemoryCap, retention: cfg.Retention}
+	l := &Log{policy: cfg.Policy, mode: cfg.Pipeline, clk: cfg.Clock, memCap: cfg.MemoryCap, retention: cfg.Retention}
 	if l.clk == nil {
 		l.clk = clock.NewReal()
 	}
 	if l.memCap <= 0 {
 		l.memCap = defaultMemoryCap
 	}
-	queueDepth := cfg.QueueDepth
-	if queueDepth <= 0 {
-		queueDepth = defaultQueueDepth
-	}
 	segBytes := cfg.SegmentBytes
 	if segBytes <= 0 {
 		segBytes = defaultSegmentBytes
 	}
+	spec := logpipe.Spec[Entry]{Clock: l.clk, Stamp: func(seq uint64, e *Entry) {
+		e.Seq = seq
+		e.Time = l.clk.Now()
+	}}
 	if cfg.Path != "" {
 		store, err := openStore(cfg.Path, cfg.Key, segBytes)
 		if err != nil {
 			return nil, err
 		}
 		l.store = store
-		maxSeq, count, bytes := store.restoredCounters()
-		l.nextSeq = maxSeq
-		l.written = maxSeq
-		l.durable = maxSeq
-		l.stats.Appended = count
-		l.stats.Bytes = bytes
+		spec.Start, l.stats.Appended, l.stats.Bytes = store.restoredCounters()
 	}
-	l.cond = sync.NewCond(&l.mu)
-	l.lastSync = l.clk.Now()
-	l.quit = make(chan struct{})
-	l.done = make(chan struct{})
-	l.failedCh = make(chan struct{})
-	if l.pipe != PipeSync {
-		l.stripes = make([]stripe, numStripes)
-		l.slots = make(chan struct{}, queueDepth)
-	}
-	// The writer goroutine drains staging in the pipeline modes; under
-	// PipeSync it still runs when a timer-driven everysec flush is
-	// needed, so an idle log cannot sit unsynced indefinitely.
-	if l.pipe != PipeSync || (l.store != nil && l.policy == SyncEverySec) {
-		l.hasWriter = true
-		l.notify = make(chan struct{}, 1)
-		go l.runWriter()
-	}
+	spec.Wait, spec.Flush = pipeModes(l.mode, l.policy, l.store != nil)
+	l.pipe = logpipe.New[Entry]((*sink)(l), spec)
 	return l, nil
 }
 
 // Pipeline reports the log's append-path mode.
-func (l *Log) Pipeline() Pipeline { return l.pipe }
+func (l *Log) Pipeline() Pipeline { return l.mode }
 
 // SyncPolicy reports the log's fsync policy.
 func (l *Log) SyncPolicy() Policy { return l.policy }
 
 // Append records one entry, assigning its sequence number and timestamp,
-// and returns the stored entry. Under PipeSync it returns once the entry
-// is written (and fsynced per policy); under PipeBatched once the writer
-// has group-committed it; under PipeAsync immediately.
+// and returns the stored entry. Under PipeSync it sequences, writes and
+// (per policy) fsyncs inline in the caller, serialized behind the
+// sequencer lock — the ablation baseline; under PipeBatched it returns
+// once the writer has group-committed the entry (under SyncAlways, once a
+// group fsync covers it); under PipeAsync immediately.
 func (l *Log) Append(e Entry) (Entry, error) {
-	if l.pipe == PipeSync {
-		return l.appendSync(e)
+	if l.mode == PipeSync {
+		return l.pipe.Direct(e)
 	}
-	return l.appendStaged(e)
+	if err := l.pipe.Reserve(); err != nil {
+		return Entry{}, err
+	}
+	e, seq, err := l.pipe.Stage(e, true)
+	if err != nil {
+		return Entry{}, err
+	}
+	return e, l.pipe.Wait(seq)
 }
 
 // Submit records one entry, discarding the assigned sequence — the
@@ -208,164 +161,25 @@ func (l *Log) Append(e Entry) (Entry, error) {
 // compliance middleware uses.
 func (l *Log) Submit(e Entry) { _, _ = l.Append(e) }
 
-// appendSync is the legacy inline path: sequence, encode, write and
-// fsync all inside the caller, serialized behind the sequencer lock —
-// the ablation baseline the pipeline modes are measured against.
-func (l *Log) appendSync(e Entry) (Entry, error) {
-	l.seqMu.Lock()
-	defer l.seqMu.Unlock()
-	if l.closed {
-		return Entry{}, errClosed
-	}
-	if l.failed.Load() {
-		return Entry{}, l.stickyErr()
-	}
-	l.nextSeq++
-	e.Seq = l.nextSeq
-	e.Time = l.clk.Now()
+// sink is the Log seen by its pipe.
+type sink Log
+
+// Write appends one batch to the segment store and publishes it to the
+// memory tail.
+func (s *sink) Write(batch []Entry) error {
+	l := (*Log)(s)
 	var encoded int64
 	if l.store != nil {
-		n, err := l.store.append([]Entry{e})
+		n, err := l.store.append(batch)
 		if err != nil {
-			l.fail(err)
-			return e, err
+			return err
 		}
 		encoded = n
 	} else {
-		encoded = int64(len(e.encode()))
-	}
-	l.publish([]Entry{e}, encoded)
-	if l.store != nil {
-		l.maybeCompact()
-	}
-	if l.notify != nil {
-		// Nudge the timer flusher: it arms its everysec timer only when
-		// it observes dirty bytes.
-		select {
-		case l.notify <- struct{}{}:
-		default:
+		for _, e := range batch {
+			encoded += int64(len(e.encode()))
 		}
 	}
-	if l.store != nil {
-		switch l.policy {
-		case SyncAlways:
-			if err := l.syncTo(e.Seq); err != nil {
-				return e, err
-			}
-		case SyncEverySec:
-			l.mu.Lock()
-			due := e.Time.Sub(l.lastSync) >= syncInterval
-			l.mu.Unlock()
-			if due {
-				if err := l.syncTo(e.Seq); err != nil {
-					return e, err
-				}
-			}
-		}
-	}
-	return e, nil
-}
-
-// appendStaged is the pipeline path: acquire a backpressure slot,
-// sequence, stage into a stripe, wake the writer, and wait only as far
-// as the mode requires.
-func (l *Log) appendStaged(e Entry) (Entry, error) {
-	if l.failed.Load() {
-		// The writer hit a sticky disk error: slots for entries parked
-		// behind the failure are never released again, so acquiring one
-		// here could block forever instead of surfacing the error.
-		return Entry{}, l.stickyErr()
-	}
-	select {
-	case l.slots <- struct{}{}:
-	case <-l.quit:
-		return Entry{}, errClosed
-	case <-l.failedCh:
-		return Entry{}, l.stickyErr()
-	}
-	if depth := int64(len(l.slots)); depth > l.maxQueue.Load() {
-		for {
-			m := l.maxQueue.Load()
-			if depth <= m || l.maxQueue.CompareAndSwap(m, depth) {
-				break
-			}
-		}
-	}
-	l.seqMu.Lock()
-	if l.closed {
-		l.seqMu.Unlock()
-		<-l.slots
-		return Entry{}, errClosed
-	}
-	l.nextSeq++
-	e.Seq = l.nextSeq
-	e.Time = l.clk.Now()
-	l.seqMu.Unlock()
-
-	st := &l.stripes[e.Seq%numStripes]
-	st.mu.Lock()
-	st.buf = append(st.buf, e)
-	st.mu.Unlock()
-	select {
-	case l.notify <- struct{}{}:
-	default:
-	}
-
-	if l.failed.Load() {
-		return e, l.stickyErr()
-	}
-	if l.pipe == PipeBatched {
-		// Durable-wait mode: under SyncAlways the committer returns only
-		// once a group fsync covers its entry; otherwise once the writer
-		// has batch-written it.
-		return e, l.waitSeq(e.Seq, l.policy == SyncAlways)
-	}
-	return e, nil
-}
-
-// waitSeq blocks until the written (or durable) watermark covers target.
-func (l *Log) waitSeq(target uint64, durable bool) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for {
-		if l.werr != nil {
-			return l.werr
-		}
-		w := l.written
-		if durable {
-			w = l.durable
-		}
-		if w >= target {
-			return nil
-		}
-		if l.writerExited {
-			return errClosed
-		}
-		l.cond.Wait()
-	}
-}
-
-// barrier waits until every sequenced entry has been consumed by the
-// writer, making queries linearizable with respect to completed Appends
-// from any goroutine.
-func (l *Log) barrier() error {
-	if l.pipe == PipeSync {
-		return l.stickyErr()
-	}
-	l.seqMu.Lock()
-	target := l.nextSeq
-	l.seqMu.Unlock()
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for l.written < target && l.werr == nil && !l.writerExited {
-		l.cond.Wait()
-	}
-	return l.werr
-}
-
-// publish appends a written batch to the memory tail, advances the
-// written watermark and the counters, and wakes committers/barriers.
-func (l *Log) publish(batch []Entry, encoded int64) {
 	l.mu.Lock()
 	l.entries = append(l.entries, batch...)
 	if len(l.entries) > l.memCap {
@@ -374,170 +188,19 @@ func (l *Log) publish(batch []Entry, encoded int64) {
 		keep := l.memCap / 2
 		l.entries = append(l.entries[:0:0], l.entries[len(l.entries)-keep:]...)
 	}
-	l.written = batch[len(batch)-1].Seq
 	l.stats.Appended += int64(len(batch))
 	l.stats.Bytes += encoded
-	l.stats.Batches++
-	if l.store != nil {
-		l.dirty = true
-	} else {
-		// A memory-only trail is as durable as it gets the moment it is
-		// published; without this, PipeBatched+SyncAlways committers
-		// would wait forever on a watermark no fsync will ever advance.
-		l.durable = l.written
-	}
 	l.mu.Unlock()
-	l.cond.Broadcast()
-}
-
-// syncTo fsyncs the segment store and advances the durable watermark.
-func (l *Log) syncTo(target uint64) error {
-	if err := l.store.sync(); err != nil {
-		l.fail(err)
-		return err
-	}
-	l.mu.Lock()
-	l.stats.Flushes++
-	if target > l.durable {
-		l.durable = target
-	}
-	l.lastSync = l.clk.Now()
-	if l.written == target {
-		l.dirty = false
-	}
-	l.mu.Unlock()
-	l.cond.Broadcast()
+	l.maybeCompact()
 	return nil
 }
 
-// fail records a sticky writer/disk error: the trail is no longer
-// trustworthy, so every subsequent append and query surfaces it.
-// failedCh additionally unblocks producers parked on the backpressure
-// semaphore — after a failure the writer stops releasing slots.
-func (l *Log) fail(err error) {
-	l.mu.Lock()
-	first := l.werr == nil
-	if first {
-		l.werr = err
+// Sync fsyncs the active segment.
+func (s *sink) Sync() error {
+	if s.store == nil {
+		return nil
 	}
-	l.mu.Unlock()
-	l.failed.Store(true)
-	if first && l.failedCh != nil {
-		close(l.failedCh)
-	}
-	l.cond.Broadcast()
-}
-
-func (l *Log) stickyErr() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.werr
-}
-
-// ---------------------------------------------------------------------------
-// Writer goroutine
-
-func (l *Log) runWriter() {
-	defer close(l.done)
-	reorder := make(map[uint64]Entry)
-	var timerCh <-chan time.Time
-	for {
-		// Arm the idle-flush timer whenever unsynced bytes exist: under
-		// SyncEverySec an append-driven check alone would leave an idle
-		// log unsynced indefinitely.
-		if timerCh == nil && l.store != nil && l.policy == SyncEverySec {
-			l.mu.Lock()
-			dirty := l.dirty
-			l.mu.Unlock()
-			if dirty {
-				timerCh = l.clk.After(syncInterval)
-			}
-		}
-		select {
-		case <-l.quit:
-			l.drainStaging(reorder)
-			l.mu.Lock()
-			l.writerExited = true
-			l.mu.Unlock()
-			l.cond.Broadcast()
-			return
-		case <-timerCh:
-			timerCh = nil
-			l.timedSync()
-		case <-l.notify:
-			l.consume(reorder)
-		}
-	}
-}
-
-// consume drains the stripes, restores dense sequence order through the
-// reorder buffer, and group-commits the contiguous batch. Entries whose
-// predecessors are still being staged stay parked until the producer's
-// notify triggers the next consume.
-func (l *Log) consume(reorder map[uint64]Entry) {
-	for i := range l.stripes {
-		st := &l.stripes[i]
-		st.mu.Lock()
-		for _, e := range st.buf {
-			reorder[e.Seq] = e
-		}
-		st.buf = st.buf[:0]
-		st.mu.Unlock()
-	}
-	l.mu.Lock()
-	next := l.written + 1
-	l.mu.Unlock()
-	var batch []Entry
-	for {
-		e, ok := reorder[next]
-		if !ok {
-			break
-		}
-		delete(reorder, next)
-		batch = append(batch, e)
-		next++
-	}
-	if len(batch) == 0 {
-		return
-	}
-	l.writeBatch(batch)
-	for range batch {
-		<-l.slots // release backpressure for written entries
-	}
-}
-
-// writeBatch writes one group-commit batch and applies the sync policy.
-func (l *Log) writeBatch(batch []Entry) {
-	var encoded int64
-	if l.store != nil {
-		n, err := l.store.append(batch)
-		if err != nil {
-			l.fail(err)
-			return
-		}
-		encoded = n
-	} else {
-		for _, e := range batch {
-			encoded += int64(len(e.encode()))
-		}
-	}
-	last := batch[len(batch)-1].Seq
-	l.publish(batch, encoded)
-	if l.store == nil {
-		return
-	}
-	l.maybeCompact()
-	switch l.policy {
-	case SyncAlways:
-		_ = l.syncTo(last) // one leader fsync covers the whole batch
-	case SyncEverySec:
-		l.mu.Lock()
-		due := l.clk.Now().Sub(l.lastSync) >= syncInterval
-		l.mu.Unlock()
-		if due {
-			_ = l.syncTo(last)
-		}
-	}
+	return s.store.sync()
 }
 
 // Compact enforces the retention window now: segments of the on-disk
@@ -601,55 +264,22 @@ func (l *Log) maybeCompact() {
 	}()
 }
 
-// timedSync is the idle-flush: fsync if anything is dirty.
-func (l *Log) timedSync() {
-	l.mu.Lock()
-	dirty := l.dirty
-	target := l.written
-	l.mu.Unlock()
-	if !dirty {
-		return
-	}
-	_ = l.syncTo(target)
-}
-
-// drainStaging consumes until every sequenced entry is written (Close
-// set the closed flag first, so the sequence is frozen; a producer
-// preempted between sequencing and staging finishes within a few
-// scheduler quanta).
-func (l *Log) drainStaging(reorder map[uint64]Entry) {
-	for {
-		l.consume(reorder)
-		if l.failed.Load() {
-			return
-		}
-		l.seqMu.Lock()
-		target := l.nextSeq
-		l.seqMu.Unlock()
-		l.mu.Lock()
-		caughtUp := l.written >= target
-		l.mu.Unlock()
-		if caughtUp {
-			return
-		}
-		runtime.Gosched()
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Queries: disk + memory, correct across eviction and restart
 
 // tailSnapshot returns the current memory tail and the sequence at which
 // it starts; entries below it are served from the segment store.
 func (l *Log) tailSnapshot() ([]Entry, uint64) {
+	// Read before the tail: everything at or below the written watermark
+	// has finished its sink Write, so it is in the store and, unless
+	// evicted, in the tail examined next.
+	memStart := l.pipe.Written() + 1
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	tail := l.entries
-	memStart := l.written + 1
-	if len(tail) > 0 {
-		memStart = tail[0].Seq
+	if len(l.entries) > 0 {
+		memStart = l.entries[0].Seq
 	}
-	return tail, memStart
+	return l.entries, memStart
 }
 
 // Range returns the entries with from <= Time <= to, in order. This
@@ -659,7 +289,7 @@ func (l *Log) tailSnapshot() ([]Entry, uint64) {
 // independent of MemoryCap and survive restarts; a memory-only log can
 // only answer from its tail.
 func (l *Log) Range(from, to time.Time) ([]Entry, error) {
-	if err := l.barrier(); err != nil {
+	if err := l.pipe.Barrier(); err != nil {
 		return nil, err
 	}
 	tail, memStart := l.tailSnapshot()
@@ -688,7 +318,7 @@ func (l *Log) Range(from, to time.Time) ([]Entry, error) {
 // Tail returns up to n most recent entries, oldest first, reaching into
 // the segment store when the memory tail holds fewer than n.
 func (l *Log) Tail(n int) ([]Entry, error) {
-	if err := l.barrier(); err != nil {
+	if err := l.pipe.Barrier(); err != nil {
 		return nil, err
 	}
 	if n <= 0 {
@@ -725,7 +355,7 @@ func (l *Log) Tail(n int) ([]Entry, error) {
 // ByActor returns entries whose Actor matches, in order. Segments whose
 // bloom summary excludes the actor are skipped without being read.
 func (l *Log) ByActor(actor string) ([]Entry, error) {
-	if err := l.barrier(); err != nil {
+	if err := l.pipe.Barrier(); err != nil {
 		return nil, err
 	}
 	tail, memStart := l.tailSnapshot()
@@ -749,16 +379,12 @@ func (l *Log) ByActor(actor string) ([]Entry, error) {
 
 // Total reports how many entries were ever appended (restored from the
 // segment summaries across restarts).
-func (l *Log) Total() int64 {
-	l.seqMu.Lock()
-	defer l.seqMu.Unlock()
-	return int64(l.nextSeq)
-}
+func (l *Log) Total() int64 { return int64(l.pipe.Seq()) }
 
 // Bytes reports total encoded entry bytes appended; feeds the
 // space-overhead metric.
 func (l *Log) Bytes() int64 {
-	_ = l.barrier()
+	_ = l.pipe.Barrier()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.stats.Bytes
@@ -767,11 +393,11 @@ func (l *Log) Bytes() int64 {
 // Stats snapshots the pipeline counters (after a barrier, so they cover
 // every accepted entry).
 func (l *Log) Stats() Stats {
-	_ = l.barrier()
+	ps := l.pipe.Stats()
 	l.mu.Lock()
 	s := l.stats
-	s.MaxQueueDepth = l.maxQueue.Load()
 	l.mu.Unlock()
+	s.Batches, s.Flushes, s.MaxQueueDepth = ps.Batches, ps.Flushes, ps.MaxQueue
 	if l.store != nil {
 		s.Segments = l.store.segments()
 	}
@@ -780,46 +406,21 @@ func (l *Log) Stats() Stats {
 
 // Sync forces every accepted entry to stable storage.
 func (l *Log) Sync() error {
-	if err := l.barrier(); err != nil {
-		return err
-	}
 	if l.store == nil {
-		l.mu.Lock()
-		l.lastSync = l.clk.Now()
-		l.mu.Unlock()
-		return nil
+		return l.pipe.Barrier()
 	}
-	l.mu.Lock()
-	target := l.written
-	l.mu.Unlock()
-	return l.syncTo(target)
+	return l.pipe.Sync()
 }
 
 // Close drains the staging pipeline, seals the active segment (flush,
 // fsync, sidecar summary) and closes the trail. Close is idempotent;
 // queries keep working on the closed log.
 func (l *Log) Close() error {
-	l.seqMu.Lock()
-	if l.closed {
-		l.seqMu.Unlock()
-		return nil
-	}
-	l.closed = true
-	l.seqMu.Unlock()
-	close(l.quit)
-	if l.hasWriter {
-		<-l.done
-	}
-	var err error
+	err := l.pipe.Close()
 	if l.store != nil {
-		err = l.store.close()
+		if serr := l.store.close(); serr != nil {
+			err = serr
+		}
 	}
-	l.mu.Lock()
-	if err == nil {
-		err = l.werr
-	}
-	l.writerExited = true
-	l.mu.Unlock()
-	l.cond.Broadcast()
 	return err
 }

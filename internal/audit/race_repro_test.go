@@ -15,7 +15,7 @@ func TestSealSnapshotDuplicate(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trail.log")
 	l, err := Open(Config{
 		Path: path, Pipeline: PipeAsync, Policy: SyncNone,
-		MemoryCap: 8, SegmentBytes: 512, QueueDepth: 64,
+		MemoryCap: 8, SegmentBytes: 512,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -370,7 +370,7 @@ func rebuildSegment(path string, key []byte, mode tornMode) (segMeta, error) {
 		if err := writeSegmentFile(tmp, key, entries); err != nil {
 			return segMeta{}, err
 		}
-		if err := os.Rename(tmp, path); err != nil {
+		if err := securefs.Replace(tmp, path); err != nil {
 			return segMeta{}, fmt.Errorf("audit: repair %s: %w", path, err)
 		}
 	}
@@ -665,7 +665,7 @@ func (s *segmentStore) compact(cutoffNs int64) (dropped int64, changed bool, err
 			return dropped, changed, err
 		}
 		s.compactMu.Lock()
-		if err := os.Rename(tmp, m.path); err != nil {
+		if err := securefs.Replace(tmp, m.path); err != nil {
 			s.compactMu.Unlock()
 			os.Remove(tmp)
 			return dropped, changed, err

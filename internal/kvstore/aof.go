@@ -403,43 +403,23 @@ func parseInt64(s string) (int64, error) {
 // short exclusive swap window (rewrite.go); the legacy single-mutex
 // profile rewrites in the foreground, like everything else it does.
 func (s *Store) Rewrite() error {
-	if s.aof == nil && s.pipe == nil {
-		return fmt.Errorf("kvstore: no AOF to rewrite")
-	}
 	if s.pipe != nil {
 		return s.backgroundRewrite()
 	}
-	return s.RewriteForeground()
+	return s.rewriteForeground()
 }
 
-// RewriteForeground is the stop-the-world rewrite: every stripe stays
-// frozen for the whole snapshot write. It is the legacy profile's only
-// rewrite, and is kept callable on the striped profile as the ablation
-// baseline the pause benchmark compares backgroundRewrite against.
-func (s *Store) RewriteForeground() error {
-	if s.aof == nil && s.pipe == nil {
+// rewriteForeground is the legacy profile's stop-the-world rewrite: the
+// store stays locked for the whole snapshot write.
+func (s *Store) rewriteForeground() error {
+	if s.aof == nil {
 		return fmt.Errorf("kvstore: no AOF to rewrite")
 	}
 	start := time.Now()
-	if s.pipe != nil {
-		// rewriteMu before the stripe locks — the order backgroundRewrite
-		// and close() use — so a foreground and a background rewrite can
-		// never deadlock on each other's swap.
-		s.pipe.rewriteMu.Lock()
-		defer s.pipe.rewriteMu.Unlock()
-	}
 	s.lockAll()
 	defer s.unlockAll()
 	if s.closed.Load() {
 		return errClosed
-	}
-	if s.pipe != nil {
-		size, err := s.pipe.rewrite(s)
-		if err != nil {
-			return err
-		}
-		s.finishRewrite(start, 0, size)
-		return nil
 	}
 	path := s.aof.file.Path()
 	tmp := path + ".rewrite"
@@ -453,13 +433,17 @@ func (s *Store) RewriteForeground() error {
 		nf.Close()
 		return err
 	}
+	if err := nf.Sync(); err != nil {
+		nf.Close()
+		return err
+	}
 	if err := nf.Close(); err != nil {
 		return err
 	}
 	if err := s.aof.close(); err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err := securefs.Replace(tmp, path); err != nil {
 		return err
 	}
 	na, err := openAOF(path, key, s.aof.policy, s.clk)

@@ -660,12 +660,12 @@ func (s *Store) appendSet(key, value string, expireAt time.Time) (uint64, error)
 		return 0, s.aof.appendSet(key, value, expireAt)
 	}
 	if s.pipe != nil {
-		op := stagedOp{op: opSet, key: key, value: value, slotted: true}
+		op := stagedOp{op: opSet, key: key, value: value}
 		if !expireAt.IsZero() {
 			op.op = opSetex
 			op.ns = expireAt.UnixNano()
 		}
-		return s.pipe.stage(op), nil
+		return s.pipe.stage(op, true)
 	}
 	return 0, nil
 }
@@ -676,7 +676,7 @@ func (s *Store) appendDel(key string) (uint64, error) {
 		return 0, s.aof.appendDel(key)
 	}
 	if s.pipe != nil {
-		return s.pipe.stage(stagedOp{op: opDel, key: key, slotted: true}), nil
+		return s.pipe.stage(stagedOp{op: opDel, key: key}, true)
 	}
 	return 0, nil
 }
@@ -691,7 +691,7 @@ func (s *Store) appendExpireAt(key string, t time.Time) (uint64, error) {
 		if !t.IsZero() {
 			ns = t.UnixNano()
 		}
-		return s.pipe.stage(stagedOp{op: opExpireAt, key: key, ns: ns, slotted: true}), nil
+		return s.pipe.stage(stagedOp{op: opExpireAt, key: key, ns: ns}, true)
 	}
 	return 0, nil
 }
@@ -704,7 +704,7 @@ func (s *Store) expiryDel(key string) {
 		_ = s.aof.appendDel(key)
 	}
 	if s.pipe != nil {
-		s.pipe.stage(stagedOp{op: opDel, key: key})
+		_, _ = s.pipe.stage(stagedOp{op: opDel, key: key}, false)
 	}
 }
 
@@ -719,7 +719,7 @@ func (s *Store) logRead(op, operand string) {
 		_ = s.aof.appendRead(op, operand)
 	}
 	if s.pipe != nil {
-		s.pipe.stage(stagedOp{op: op, key: operand})
+		_, _ = s.pipe.stage(stagedOp{op: op, key: operand}, false)
 	}
 }
 
@@ -729,14 +729,14 @@ func (s *Store) reserve() error {
 	if s.pipe == nil {
 		return nil
 	}
-	return s.pipe.reserve()
+	return s.pipe.log.Reserve()
 }
 
 // unreserve returns an unused slot when the command turned out not to
 // stage anything (missing key, no TTL to clear).
 func (s *Store) unreserve() {
 	if s.pipe != nil {
-		s.pipe.release()
+		s.pipe.log.Release()
 	}
 }
 
@@ -747,7 +747,7 @@ func (s *Store) unreserve() {
 // the stripe lock.
 func (s *Store) commit(seq uint64, err error) error {
 	if err == nil && s.pipe != nil && seq != 0 {
-		err = s.pipe.commit(seq)
+		err = s.pipe.log.Wait(seq)
 	}
 	if err == nil {
 		s.maybeAutoRewrite()
@@ -1361,7 +1361,7 @@ func (s *Store) FlushAll() error {
 	if s.aof != nil {
 		err = s.aof.appendFlushAll()
 	} else if s.pipe != nil {
-		seq = s.pipe.stage(stagedOp{op: opFlushAll, slotted: true})
+		seq, err = s.pipe.stage(stagedOp{op: opFlushAll}, true)
 	}
 	s.unlockAll()
 	return s.commit(seq, err)
@@ -1420,7 +1420,8 @@ func (s *Store) Stats() Stats {
 		s.stripes[0].mu.Unlock()
 	}
 	if s.pipe != nil {
-		st.AOFBatches, st.AOFFlushes = s.pipe.counters()
+		ps := s.pipe.log.Stats()
+		st.AOFBatches, st.AOFFlushes = ps.Batches, ps.Flushes
 	}
 	return st
 }
@@ -1434,7 +1435,7 @@ func (s *Store) Sync() error {
 		return s.aof.sync()
 	}
 	if s.pipe != nil {
-		return s.pipe.syncAll()
+		return s.pipe.log.Sync()
 	}
 	return nil
 }

@@ -60,9 +60,7 @@ func (p *aofPipe) beginDivert() error {
 // untouched and still authoritative).
 func (p *aofPipe) abortDivert() {
 	p.fileMu.Lock()
-	p.diverting = false
-	p.divert = nil
-	p.divertOps = 0
+	p.diverting, p.divert, p.divertOps = false, nil, 0
 	p.fileMu.Unlock()
 }
 
@@ -71,15 +69,14 @@ func (p *aofPipe) abortDivert() {
 // live AOF and reopens. Writer batches queue on fileMu for the duration
 // (buffered-drain plus one rename — no snapshot IO). Callers hold
 // rewriteMu. On an error before the old file is touched the live AOF
-// stays authoritative; after that point the pipeline is poisoned via
-// fail. Returns the diverted-frame count and the new file's size.
+// stays authoritative; after that point the pipe is poisoned via Fail.
+// Returns the diverted-frame count and the new file's size.
 func (p *aofPipe) swapRewritten(nf *securefs.File, tmp string, key []byte) (int64, int64, error) {
 	p.fileMu.Lock()
 	defer p.fileMu.Unlock()
+	buf, diverted := p.divert, p.divertOps
+	p.diverting, p.divert, p.divertOps = false, nil, 0
 	abort := func(err error) (int64, int64, error) {
-		p.diverting = false
-		p.divert = nil
-		p.divertOps = 0
 		nf.Close()
 		os.Remove(tmp)
 		return 0, 0, err
@@ -87,12 +84,11 @@ func (p *aofPipe) swapRewritten(nf *securefs.File, tmp string, key []byte) (int6
 	if p.fileClosed {
 		return abort(errClosed)
 	}
-	if p.failed.Load() {
-		return abort(p.stickyErr())
+	if err := p.log.Err(); err != nil {
+		return abort(err)
 	}
 	// Drain the rewrite buffer: every frame appended to the old file
 	// since the divert began replays onto the new file in commit order.
-	buf := p.divert
 	for len(buf) > 0 {
 		l, n := binary.Uvarint(buf)
 		if n <= 0 || uint64(len(buf)-n) < l {
@@ -109,36 +105,28 @@ func (p *aofPipe) swapRewritten(nf *securefs.File, tmp string, key []byte) (int6
 	if err := nf.Close(); err != nil {
 		return abort(err)
 	}
-	diverted := p.divertOps
-	p.diverting = false
-	p.divert = nil
-	p.divertOps = 0
 	// Point of no return: the old handle closes before the rename, so
-	// any failure past here poisons the pipeline rather than risking a
+	// any failure past here poisons the pipe rather than risking a
 	// half-swapped AOF.
-	if err := p.file.Close(); err != nil {
-		p.fail(err)
+	poison := func(err error) (int64, int64, error) {
+		p.log.Fail(err)
 		return 0, 0, err
 	}
-	if err := os.Rename(tmp, p.path); err != nil {
-		p.fail(err)
-		return 0, 0, err
+	if err := p.file.Close(); err != nil {
+		return poison(err)
+	}
+	if err := securefs.Replace(tmp, p.path); err != nil {
+		return poison(err)
 	}
 	na, err := securefs.Append(p.path, securefs.Options{Key: key, BufferSize: 1 << 16})
 	if err != nil {
-		p.fail(err)
-		return 0, 0, err
+		return poison(err)
 	}
 	p.file = na
 	size, _ := na.Size()
 	// The new file holds every written seq (snapshot ∪ rewrite buffer)
-	// and is fully synced: everything written is durable.
-	p.mu.Lock()
-	p.durable = p.written
-	p.dirty = false
-	p.lastSync = p.clk.Now()
-	p.mu.Unlock()
-	p.cond.Broadcast()
+	// and is fully synced.
+	p.log.MarkDurable()
 	return diverted, size, nil
 }
 
@@ -151,7 +139,7 @@ func (s *Store) backgroundRewrite() error {
 	if s.closed.Load() {
 		return errClosed
 	}
-	if err := p.stickyErr(); err != nil {
+	if err := p.log.Err(); err != nil {
 		return err
 	}
 	start := time.Now()

@@ -2,90 +2,42 @@ package kvstore
 
 import (
 	"encoding/binary"
-	"os"
-	"runtime"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/clock"
+	"repro/internal/logpipe"
 	"repro/internal/securefs"
 )
 
-// The striped profile's AOF is a two-stage pipeline (the PR 1 WAL /
-// audit-pipeline recipe):
-//
-//	command ── seq (under its data-stripe lock) ── staging stripes ──▶ writer goroutine
-//	                                                                      │
-//	                                                                      ├─ batch-encode → securefs frames
-//	                                                                      ├─ group fsync (appendfsync policy)
-//	                                                                      └─ publish written/durable watermarks
-//
-// Ordering: a write op's sequence number is assigned while the caller
-// still holds the mutated key's stripe lock, so for any key, AOF file
-// order equals apply order; FLUSHALL sequences while holding every
-// stripe lock, so its frame totally orders it against all concurrent
-// commands. Sequences are globally dense (one atomic counter), and the
-// writer restores dense order through a reorder buffer before encoding,
-// so replay is deterministic per key no matter how producers interleave
-// their staging.
-//
-// The appendfsync spectrum maps onto group commit: `always` callers wait
-// for the durable watermark to cover their sequence (one leader fsync
-// covers the whole batch); `everysec` and `no` return immediately —
-// everysec gains an idle-flush timer so a quiet store cannot sit
-// unsynced. Backpressure is a bounded slot semaphore: command writes
-// acquire a slot before their stripe lock and the writer releases it
-// once the frame is on disk, so staging is lossless and bounded. Read
-// logging and expiry-cycle DELs stage without a slot (bounded by their
-// own budgets) so they never park inside the hot path.
-//
-// Writer/disk errors are sticky: the AOF is no longer trustworthy, so
-// every subsequent write, commit wait and Sync surfaces the first error.
-
-const (
-	pipeStripes    = 8
-	pipeQueueDepth = 1 << 14
-	pipeSyncEvery  = time.Second
-)
+// The striped profile's AOF rides internal/logpipe: a command stages its
+// op while still holding the mutated key's stripe lock (FLUSHALL: every
+// stripe lock), so for any key AOF order equals apply order, and the
+// pipe's writer goroutine batch-encodes the ops into the frames the
+// inline profile would have written. appendfsync maps onto the pipe's
+// wait depth and flush policy (pipeModes). Command writes hold a
+// backpressure slot, reserved before their stripe lock; read logging and
+// expiry-cycle DELs stage without one (bounded by their own budgets) so
+// they never park inside the hot path. This file keeps what is
+// AOF-specific: the frame encoding, the file and its IO lock, and the
+// rewrite divert buffer (rewrite.go).
 
 // stagedOp is one parked AOF command: the op tag plus its operands.
-// Reads carry their logged operand in key; slotted marks ops holding a
-// backpressure slot the writer must release.
+// Reads carry their logged operand in key.
 type stagedOp struct {
-	seq     uint64
-	op      string
-	key     string
-	value   string
-	ns      int64
-	slotted bool
+	op    string
+	key   string
+	value string
+	ns    int64
 }
 
-type pipeStripe struct {
-	mu  sync.Mutex
-	buf []stagedOp
-	// Pad the struct to exactly one cache line (mu 8 + buf 24 + pad 32 =
-	// 64) so adjacent staging locks do not false-share under concurrent
-	// producers; pad_test.go asserts the size at compile time.
-	_ [32]byte
-}
-
-// aofPipe is the staged writer. See the file comment for the contract.
+// aofPipe is the staged AOF: the logpipe sink plus the file state
+// rewrites swap underneath it.
 type aofPipe struct {
+	log       *logpipe.Pipe[stagedOp]
 	policy    FsyncPolicy
 	clk       clock.Clock
 	encrypted bool
 	path      string // AOF path; stable across rewrite swaps
-
-	nextSeq atomic.Uint64
-
-	stripes  [pipeStripes]pipeStripe
-	slots    chan struct{} // backpressure semaphore (slotted ops only)
-	notify   chan struct{} // writer wake-up, capacity 1
-	quit     chan struct{}
-	done     chan struct{}
-	failedCh chan struct{} // closed on the first sticky error
-	failed   atomic.Bool
 
 	// rewriteMu serializes background rewrites against each other and
 	// against close(): close acquires it first, so a Close waits for an
@@ -93,7 +45,7 @@ type aofPipe struct {
 	rewriteMu sync.Mutex
 
 	// fileMu serializes file IO and file swaps (writer batches, fsyncs,
-	// Rewrite, Close) — never held while waiting on producers.
+	// rewrite swap, Close) — never held while waiting on producers.
 	fileMu sync.Mutex
 	file   *securefs.File
 	buf    []byte // writer-only encode buffer
@@ -106,20 +58,19 @@ type aofPipe struct {
 	divert     []byte
 	divertOps  int64
 	fileClosed bool // set by close(); makes a post-close rewrite fail cleanly
+}
 
-	// Published state: watermarks and counters. The writer publishes
-	// under mu and broadcasts cond; appendfsync-always committers and
-	// barriers wait on it.
-	mu           sync.Mutex
-	cond         *sync.Cond
-	written      uint64 // highest seq encoded into the file buffer
-	durable      uint64 // highest seq covered by an fsync
-	werr         error  // sticky writer/disk error
-	lastSync     time.Time
-	dirty        bool // file bytes not yet fsynced
-	batches      int64
-	flushes      int64
-	writerExited bool
+// pipeModes maps appendfsync onto logpipe: `always` callers wait for the
+// group fsync covering their op; everysec and no return once staged.
+func pipeModes(policy FsyncPolicy) (logpipe.Wait, logpipe.Flush) {
+	switch policy {
+	case FsyncAlways:
+		return logpipe.WaitDurable, logpipe.FlushEachBatch
+	case FsyncEverySec:
+		return logpipe.WaitNone, logpipe.FlushEverySec
+	default:
+		return logpipe.WaitNone, logpipe.FlushNever
+	}
 }
 
 func openPipe(path string, key []byte, policy FsyncPolicy, clk clock.Clock) (*aofPipe, error) {
@@ -129,140 +80,23 @@ func openPipe(path string, key []byte, policy FsyncPolicy, clk clock.Clock) (*ao
 	if err != nil {
 		return nil, err
 	}
-	p := &aofPipe{
-		policy:    policy,
-		clk:       clk,
-		encrypted: key != nil,
-		path:      path,
-		file:      f,
-		slots:     make(chan struct{}, pipeQueueDepth),
-		notify:    make(chan struct{}, 1),
-		quit:      make(chan struct{}),
-		done:      make(chan struct{}),
-		failedCh:  make(chan struct{}),
-	}
-	p.cond = sync.NewCond(&p.mu)
-	p.lastSync = clk.Now()
-	go p.runWriter()
+	p := &aofPipe{policy: policy, clk: clk, encrypted: key != nil, path: path, file: f}
+	wait, flush := pipeModes(policy)
+	p.log = logpipe.New[stagedOp](p, logpipe.Spec[stagedOp]{Wait: wait, Flush: flush, Clock: clk})
 	return p, nil
 }
 
-// reserve acquires one backpressure slot; callers must not hold a
-// stripe lock. release returns an unused one.
-func (p *aofPipe) reserve() error {
-	if p.failed.Load() {
-		// After a sticky failure the writer stops releasing slots, so
-		// parking here could block forever instead of surfacing the error.
-		return p.stickyErr()
-	}
-	select {
-	case p.slots <- struct{}{}:
-		return nil
-	case <-p.quit:
-		return errClosed
-	case <-p.failedCh:
-		return p.stickyErr()
-	}
-}
-
-func (p *aofPipe) release() { <-p.slots }
-
-// stage assigns the next sequence and parks op in a staging stripe.
-// Write callers hold their data-stripe lock (FLUSHALL: all of them), so
-// file order equals apply order per key; reads may stage lock-free.
-func (p *aofPipe) stage(op stagedOp) uint64 {
-	op.seq = p.nextSeq.Add(1)
-	st := &p.stripes[op.seq%pipeStripes]
-	st.mu.Lock()
-	st.buf = append(st.buf, op)
-	st.mu.Unlock()
-	select {
-	case p.notify <- struct{}{}:
-	default:
-	}
-	return op.seq
-}
-
-// commit is the post-stage wait: appendfsync always blocks until the
-// group commit covering seq is durable; everysec/no return immediately.
-func (p *aofPipe) commit(seq uint64) error {
-	if p.policy != FsyncAlways {
-		if p.failed.Load() {
-			return p.stickyErr()
-		}
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for {
-		if p.werr != nil {
-			return p.werr
-		}
-		if p.durable >= seq {
-			return nil
-		}
-		if p.writerExited {
-			return errClosed
-		}
-		p.cond.Wait()
-	}
-}
-
-// barrier waits until the writer has consumed every staged command, so
-// Sync/AOFSize/Stats/Rewrite observe a file covering all accepted writes.
-func (p *aofPipe) barrier() error {
-	target := p.nextSeq.Load()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for p.written < target && p.werr == nil && !p.writerExited {
-		p.cond.Wait()
-	}
-	return p.werr
-}
-
-func (p *aofPipe) stickyErr() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.werr
-}
-
-// fail records a sticky writer/disk error; failedCh unblocks producers
-// parked on the backpressure semaphore.
-func (p *aofPipe) fail(err error) {
-	p.mu.Lock()
-	first := p.werr == nil
-	if first {
-		p.werr = err
-	}
-	p.mu.Unlock()
-	p.failed.Store(true)
-	if first {
-		close(p.failedCh)
-	}
-	p.cond.Broadcast()
-}
-
-func (p *aofPipe) counters() (batches, flushes int64) {
-	_ = p.barrier()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.batches, p.flushes
-}
-
-// syncAll barriers and forces every accepted command to stable storage.
-func (p *aofPipe) syncAll() error {
-	if err := p.barrier(); err != nil {
-		return err
-	}
-	p.mu.Lock()
-	target := p.written
-	p.mu.Unlock()
-	return p.syncTo(target)
+// stage queues op for the writer and returns its sequence. Write callers
+// hold their data-stripe lock and a reserved slot; reads and expiry DELs
+// pass slotted=false.
+func (p *aofPipe) stage(op stagedOp, slotted bool) (uint64, error) {
+	_, seq, err := p.log.Stage(op, slotted)
+	return seq, err
 }
 
 // sizeBarrier barriers and reports the AOF's on-disk size.
 func (p *aofPipe) sizeBarrier() (int64, error) {
-	if err := p.barrier(); err != nil {
+	if err := p.log.Barrier(); err != nil {
 		return 0, err
 	}
 	p.fileMu.Lock()
@@ -270,145 +104,23 @@ func (p *aofPipe) sizeBarrier() (int64, error) {
 	return p.file.Size()
 }
 
-// rewrite compacts the AOF under the caller's all-stripe freeze (the
-// foreground ablation path): barrier the writer, write the live dataset
-// to path+".rewrite", and atomically swap it in under the IO lock.
-// Returns the rewritten file's size.
-func (p *aofPipe) rewrite(s *Store) (int64, error) {
-	if err := p.barrier(); err != nil {
-		return 0, err
-	}
-	p.fileMu.Lock()
-	defer p.fileMu.Unlock()
-	tmp := p.path + ".rewrite"
-	var key []byte
-	if p.encrypted {
-		key = s.aofKey
-	}
-	nf, err := securefs.Create(tmp, securefs.Options{Key: key})
-	if err != nil {
-		return 0, err
-	}
-	if err := s.writeSnapshot(nf); err != nil {
-		nf.Close()
-		return 0, err
-	}
-	if err := nf.Close(); err != nil {
-		return 0, err
-	}
-	if err := p.file.Close(); err != nil {
-		return 0, err
-	}
-	if err := os.Rename(tmp, p.path); err != nil {
-		return 0, err
-	}
-	na, err := securefs.Append(p.path, securefs.Options{Key: key, BufferSize: 1 << 16})
-	if err != nil {
-		return 0, err
-	}
-	p.file = na
-	size, _ := na.Size()
-	// The rewritten file is fully flushed: everything written is durable.
-	p.mu.Lock()
-	p.durable = p.written
-	p.dirty = false
-	p.lastSync = p.clk.Now()
-	p.mu.Unlock()
-	p.cond.Broadcast()
-	return size, nil
-}
-
-// close drains staging (the store froze the sequence first by setting
-// closed under every stripe lock) and closes the file. Sticky writer
-// errors take precedence over the close error. Acquiring rewriteMu
-// first makes close wait for an in-flight background rewrite's swap.
+// close drains staging (the store froze the command sequence first by
+// setting closed under every stripe lock) and closes the file. A sticky
+// writer error takes precedence over the close error. Acquiring
+// rewriteMu first makes close wait for an in-flight background
+// rewrite's swap.
 func (p *aofPipe) close() error {
 	p.rewriteMu.Lock()
 	defer p.rewriteMu.Unlock()
-	close(p.quit)
-	<-p.done
+	err := p.log.Close()
 	p.fileMu.Lock()
 	cerr := p.file.Close()
 	p.fileClosed = true
 	p.fileMu.Unlock()
-	if err := p.stickyErr(); err != nil {
+	if err != nil {
 		return err
 	}
 	return cerr
-}
-
-// ---------------------------------------------------------------------------
-// Writer goroutine
-
-func (p *aofPipe) runWriter() {
-	defer close(p.done)
-	reorder := make(map[uint64]stagedOp)
-	var timerCh <-chan time.Time
-	for {
-		// Arm the idle-flush timer whenever unsynced bytes exist: under
-		// everysec a command-driven check alone would leave an idle store
-		// unsynced indefinitely.
-		if timerCh == nil && p.policy == FsyncEverySec {
-			p.mu.Lock()
-			dirty := p.dirty
-			p.mu.Unlock()
-			if dirty {
-				timerCh = p.clk.After(pipeSyncEvery)
-			}
-		}
-		select {
-		case <-p.quit:
-			p.drainStaging(reorder)
-			p.mu.Lock()
-			p.writerExited = true
-			p.mu.Unlock()
-			p.cond.Broadcast()
-			return
-		case <-timerCh:
-			timerCh = nil
-			p.timedSync()
-		case <-p.notify:
-			p.consume(reorder)
-		}
-	}
-}
-
-// consume drains the staging stripes, restores dense sequence order
-// through the reorder buffer, and group-commits the contiguous batch.
-// Ops whose predecessors are still being staged stay parked until the
-// producer's notify triggers the next consume.
-func (p *aofPipe) consume(reorder map[uint64]stagedOp) {
-	for i := range p.stripes {
-		st := &p.stripes[i]
-		st.mu.Lock()
-		for _, op := range st.buf {
-			reorder[op.seq] = op
-		}
-		st.buf = st.buf[:0]
-		st.mu.Unlock()
-	}
-	p.mu.Lock()
-	next := p.written + 1
-	p.mu.Unlock()
-	var batch []stagedOp
-	for {
-		op, ok := reorder[next]
-		if !ok {
-			break
-		}
-		delete(reorder, next)
-		batch = append(batch, op)
-		next++
-	}
-	if len(batch) == 0 {
-		return
-	}
-	p.writeBatch(batch)
-	for _, op := range batch {
-		if op.slotted {
-			<-p.slots // release backpressure for written commands
-		}
-	}
 }
 
 // encodeOp renders one staged op as the frame the inline profile would
@@ -431,16 +143,15 @@ func (p *aofPipe) encodeOp(op stagedOp) []byte {
 	return p.buf
 }
 
-// writeBatch writes one group-commit batch and applies the fsync policy:
-// one leader fsync covers the whole batch under appendfsync always.
-func (p *aofPipe) writeBatch(batch []stagedOp) {
+// Write is the logpipe sink's batch step: one frame per op, mirrored into
+// the divert buffer while a rewrite is streaming.
+func (p *aofPipe) Write(batch []stagedOp) error {
 	p.fileMu.Lock()
+	defer p.fileMu.Unlock()
 	for _, op := range batch {
 		frame := p.encodeOp(op)
 		if err := p.file.AppendFrame(frame); err != nil {
-			p.fileMu.Unlock()
-			p.fail(err)
-			return
+			return err
 		}
 		if p.diverting {
 			p.divert = binary.AppendUvarint(p.divert, uint64(len(frame)))
@@ -448,82 +159,16 @@ func (p *aofPipe) writeBatch(batch []stagedOp) {
 			p.divertOps++
 		}
 	}
-	p.fileMu.Unlock()
 	obsAOFBatchOps.Observe(int64(len(batch)))
-	last := batch[len(batch)-1].seq
-	p.mu.Lock()
-	p.written = last
-	p.batches++
-	p.dirty = true
-	p.mu.Unlock()
-	p.cond.Broadcast()
-	switch p.policy {
-	case FsyncAlways:
-		_ = p.syncTo(last)
-	case FsyncEverySec:
-		p.mu.Lock()
-		due := p.clk.Now().Sub(p.lastSync) >= pipeSyncEvery
-		p.mu.Unlock()
-		if due {
-			_ = p.syncTo(last)
-		}
-	}
+	return nil
 }
 
-// syncTo fsyncs the file and advances the durable watermark.
-func (p *aofPipe) syncTo(target uint64) error {
+// Sync is the logpipe sink's fsync step.
+func (p *aofPipe) Sync() error {
 	start := p.clk.Now()
 	p.fileMu.Lock()
 	err := p.file.Sync()
 	p.fileMu.Unlock()
 	obsAOFFsyncNs.ObserveDuration(p.clk.Since(start))
-	if err != nil {
-		p.fail(err)
-		return err
-	}
-	p.mu.Lock()
-	p.flushes++
-	if target > p.durable {
-		p.durable = target
-	}
-	p.lastSync = p.clk.Now()
-	if p.written == target {
-		p.dirty = false
-	}
-	p.mu.Unlock()
-	p.cond.Broadcast()
-	return nil
-}
-
-// timedSync is the everysec idle-flush: fsync if anything is dirty.
-func (p *aofPipe) timedSync() {
-	p.mu.Lock()
-	dirty := p.dirty
-	target := p.written
-	p.mu.Unlock()
-	if !dirty {
-		return
-	}
-	_ = p.syncTo(target)
-}
-
-// drainStaging consumes until every sequenced op is written. The store
-// sealed the sequence before quit (closed set under every stripe lock),
-// so only stragglers between their atomic seq grab and their staging
-// park remain; they finish within a few scheduler quanta.
-func (p *aofPipe) drainStaging(reorder map[uint64]stagedOp) {
-	for {
-		p.consume(reorder)
-		if p.failed.Load() {
-			return
-		}
-		target := p.nextSeq.Load()
-		p.mu.Lock()
-		caughtUp := p.written >= target
-		p.mu.Unlock()
-		if caughtUp {
-			return
-		}
-		runtime.Gosched()
-	}
+	return err
 }

@@ -484,3 +484,44 @@ func TestStripedLogReads(t *testing.T) {
 		t.Fatalf("dbsize = %d, want 1", n)
 	}
 }
+
+// TestStripedAOFFailureIsSticky: once the AOF file refuses a frame, the
+// store stops acknowledging writes — the first error comes back from
+// every later Set, from Sync and from Close — and a background rewrite
+// refuses to swap a snapshot over a log it can no longer vouch for.
+func TestStripedAOFFailureIsSticky(t *testing.T) {
+	for _, policy := range []FsyncPolicy{FsyncAlways, FsyncEverySec} {
+		path := filepath.Join(t.TempDir(), "broken.aof")
+		s, err := Open(Config{AOFPath: path, AOFSync: policy, Striping: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Set("before", "v"); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		// Sabotage: close the file under the pipe, so the next frame fails.
+		s.pipe.fileMu.Lock()
+		s.pipe.file.Close()
+		s.pipe.fileMu.Unlock()
+		_ = s.Set("lost", "v") // everysec returns before the writer fails
+		first := s.Sync()
+		if first == nil {
+			t.Fatalf("%v: Sync after a failed AOF write should error", policy)
+		}
+		if err := s.Set("after", "v"); err != first {
+			t.Fatalf("%v: Set after failure = %v, want %v", policy, err, first)
+		}
+		if err := s.Rewrite(); err != first {
+			t.Fatalf("%v: Rewrite after failure = %v, want %v", policy, err, first)
+		}
+		if _, err := os.Stat(path + ".rewrite"); !os.IsNotExist(err) {
+			t.Fatalf("%v: refused rewrite left its tmp file behind (stat err %v)", policy, err)
+		}
+		if err := s.Close(); err != first {
+			t.Fatalf("%v: Close after failure = %v, want %v", policy, err, first)
+		}
+	}
+}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/audit"
 	"repro/internal/clock"
 	"repro/internal/obs"
+	"repro/internal/securefs"
 	"repro/internal/wal"
 )
 
@@ -456,7 +457,7 @@ func (db *DB) writeCheckpoint(cut uint64) error {
 		_ = os.Remove(tmp)
 		return err
 	}
-	if err := os.Rename(tmp, db.checkpointPath()); err != nil {
+	if err := securefs.Replace(tmp, db.checkpointPath()); err != nil {
 		return err
 	}
 	db.checkpoints.Add(1)

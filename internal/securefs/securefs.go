@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"sync"
 )
 
@@ -256,6 +257,25 @@ func Replay(path string, opts Options, fn func(payload []byte) error) error {
 			return err
 		}
 	}
+}
+
+// Replace renames the fully written and synced file tmp over live and
+// fsyncs the parent directory. Without the directory fsync a crash just
+// after the rename can bring the old file back — for a rewrite, compaction
+// or checkpoint, the one still holding the payloads the new file dropped.
+func Replace(tmp, live string) error {
+	if err := os.Rename(tmp, live); err != nil {
+		return fmt.Errorf("securefs: replace %s: %w", live, err)
+	}
+	dir, err := os.Open(filepath.Dir(live))
+	if err != nil {
+		return fmt.Errorf("securefs: replace %s: %w", live, err)
+	}
+	defer dir.Close()
+	if err := dir.Sync(); err != nil {
+		return fmt.Errorf("securefs: replace %s: sync directory: %w", live, err)
+	}
+	return nil
 }
 
 // CountFrames returns the number of intact frames in the file at path.
