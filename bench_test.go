@@ -579,18 +579,17 @@ func BenchmarkMetadataIndexing(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Locking ablation: relstore global mutex vs table locks + snapshots
+// Relstore locking: table locks + snapshot reads across thread counts
 
 // benchRelstoreMix runs a read-heavy (Processor-style) operation mix —
 // 55% indexed selector reads (the READ-DATA-BY-attribute shape that
 // dominates the processor workload), 40% point reads by key, 5%
 // read-modify-write updates — against a 10k-row table, spread over the
 // given number of worker goroutines. Keys and predicates are precomputed
-// so the timed loop measures the engine, not fmt. It reports ops/sec so
-// the global-lock and table-lock legs compare directly.
-func benchRelstoreMix(b *testing.B, globalLock, durable bool, threads int) {
+// so the timed loop measures the engine, not fmt. It reports ops/sec.
+func benchRelstoreMix(b *testing.B, durable bool, threads int) {
 	b.Helper()
-	cfg := relstore.Config{GlobalLock: globalLock}
+	cfg := relstore.Config{}
 	if durable {
 		cfg.WALPath = filepath.Join(b.TempDir(), "bench.wal")
 		cfg.WALSync = wal.SyncOnCommit
@@ -674,15 +673,13 @@ func benchRelstoreMix(b *testing.B, globalLock, durable bool, threads int) {
 	b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "ops/s")
 }
 
-// BenchmarkRelstoreLocking compares the seed's single global mutex
-// against per-table locking with copy-on-write snapshot reads, at 1, 4
-// and 8 worker threads on the Processor-style read-heavy mix — in
-// memory-only form and with synchronous-commit WAL writes. The
-// table-lock leg's reads never take a lock at all (they scale with
-// cores), and its commits fsync outside the lock via group commit; the
-// global-lock baseline serializes reads behind writers and, in the
-// durable variant, behind every writer's fsync, which is the seed's
-// original profile.
+// BenchmarkRelstoreLocking runs the Processor-style read-heavy mix over
+// per-table locking with copy-on-write snapshot reads at 1, 4 and 8
+// worker threads — in memory-only form and with synchronous-commit WAL
+// writes. Reads never take a lock at all (they scale with cores) and
+// commits fsync outside the table lock via group commit. The seed's
+// single-global-mutex leg this was first measured against is retired;
+// its numbers stay in DESIGN.md §3.
 func BenchmarkRelstoreLocking(b *testing.B) {
 	for _, mode := range []struct {
 		name    string
@@ -691,18 +688,10 @@ func BenchmarkRelstoreLocking(b *testing.B) {
 		{"mem", false},
 		{"wal", true},
 	} {
-		for _, leg := range []struct {
-			name   string
-			global bool
-		}{
-			{"global-lock", true},
-			{"table-lock", false},
-		} {
-			for _, threads := range []int{1, 4, 8} {
-				b.Run(fmt.Sprintf("%s/%s/threads=%d", mode.name, leg.name, threads), func(b *testing.B) {
-					benchRelstoreMix(b, leg.global, mode.durable, threads)
-				})
-			}
+		for _, threads := range []int{1, 4, 8} {
+			b.Run(fmt.Sprintf("%s/table-lock/threads=%d", mode.name, threads), func(b *testing.B) {
+				benchRelstoreMix(b, mode.durable, threads)
+			})
 		}
 	}
 }
@@ -714,7 +703,7 @@ func BenchmarkRelstoreLocking(b *testing.B) {
 // GDPRbench read-dominated profile — 95% GET, 5% SET — where the
 // striped RWMutex read path lets all threads read one stripe
 // concurrently. Keys are precomputed so the timed loop measures the
-// engine, not fmt. It reports ops/sec and allocs/op so the single-mutex
+// engine, not fmt. It reports ops/sec and allocs/op so the striping=0
 // and striped legs compare directly.
 func benchKvstoreMix(b *testing.B, mix string, striping int, durable bool, threads int) {
 	b.Helper()
@@ -804,14 +793,14 @@ func benchKvstoreMix(b *testing.B, mix string, striping int, durable bool, threa
 	b.ReportMetric(float64(b.N)/elapsed.Seconds(), "ops/s")
 }
 
-// BenchmarkKvstoreLocking compares the Redis-faithful single-mutex
-// command core (striping=0, inline AOF) against the lock-striped engine
-// with the staged group-commit AOF, at 1, 4 and 8 worker threads — in
-// memory-only form and with an everysec AOF. The striped legs' commands
-// on different stripes never contend, and their AOF appends leave the
-// command path entirely; the single-mutex baseline serializes every
-// command and pays the append inline, which is the paper's Redis
-// profile. (On a 1-vCPU host the legs converge — the striped profile's
+// BenchmarkKvstoreLocking compares the Redis-faithful profile
+// (striping=0: one stripe, every command exclusive, AOF written by the
+// caller) against shared-read stripes with the staged group-commit AOF,
+// at 1, 4 and 8 worker threads — in memory-only form and with an
+// everysec AOF. The striped legs' commands on different stripes never
+// contend, and their AOF appends leave the command path entirely; the
+// striping=0 baseline serializes every command and pays the append on
+// the command path, which is the paper's Redis profile. (On a 1-vCPU host the legs converge — the striped profile's
 // win is parallelism, not fewer instructions.) The get95 mix isolates
 // the RWMutex read path: at ≥4 threads the striped legs' readers share
 // each stripe's lock instead of convoying on it.

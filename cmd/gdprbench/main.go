@@ -107,7 +107,7 @@ func main() {
 		jsonPath  = flag.String("json", "", "write machine-readable results (per-workload completion, ops/s, per-op p50/p95/p99) to this file")
 		arrival   = flag.Float64("arrival-rate", 0, "open-loop mode: issue operations on a fixed schedule at this many ops/sec per workload, measuring latency from each operation's scheduled arrival (coordinated-omission-free); 0 = closed loop")
 		auditPol  = flag.String("auditpolicy", gdprbench.DefaultAuditPolicy.String(), "audit append pipeline: sync (inline, the legacy baseline) | batched (group-committed, callers wait) | async (fire-and-forget, bounded-queue backpressure)")
-		kvstripes = flag.Int("kvstripes", 0, "redis engine: partition each kvstore into N lock stripes with a staged group-commit AOF (0 = the Redis-faithful single-mutex baseline)")
+		kvstripes = flag.Int("kvstripes", 0, "redis engine: N hash stripes per kvstore with shared-lock reads and a staged group-commit AOF (0 = the Redis-faithful profile: one stripe, every command exclusive, AOF written on the command path)")
 		aofPct    = flag.Int("aofrewrite-pct", 0, "redis engine: background-rewrite the AOF once it grows this percent past its post-rewrite size (Redis auto-aof-rewrite-percentage; 100 = rewrite at 2x, 0 = never)")
 		walCkpt   = flag.Int64("walcheckpoint", 0, "postgres engine: checkpoint and truncate the WAL once it exceeds this many bytes (0 = never)")
 		auditKeep = flag.Duration("auditretain", 0, "compact audit-trail segments older than this window, e.g. 720h (0 = keep all history)")

@@ -41,7 +41,7 @@ func main() {
 		token       = flag.String("token", "", "shared auth token clients must present")
 		frozenclock = flag.Bool("frozenclock", false, "run engines on a simulated clock frozen at the epoch with expiry daemons off (required for gdprbench -connect -validate)")
 		auditPol    = flag.String("auditpolicy", gdprbench.DefaultAuditPolicy.String(), "audit append pipeline: sync (inline, the legacy baseline) | batched (group-committed, callers wait) | async (fire-and-forget, bounded-queue backpressure)")
-		kvstripes   = flag.Int("kvstripes", 0, "redis engine: partition each kvstore into N lock stripes with a staged group-commit AOF (0 = the Redis-faithful single-mutex baseline)")
+		kvstripes   = flag.Int("kvstripes", 0, "redis engine: N hash stripes per kvstore with shared-lock reads and a staged group-commit AOF (0 = the Redis-faithful profile: one stripe, every command exclusive, AOF written on the command path)")
 		aofPct      = flag.Int("aofrewrite-pct", 0, "redis engine: background-rewrite the AOF once it grows this percent past its post-rewrite size (Redis auto-aof-rewrite-percentage; 100 = rewrite at 2x, 0 = never)")
 		walCkpt     = flag.Int64("walcheckpoint", 0, "postgres engine: checkpoint and truncate the WAL once it exceeds this many bytes (0 = never)")
 		auditKeep   = flag.Duration("auditretain", 0, "compact audit-trail segments older than this window, e.g. 720h (0 = keep all history)")

@@ -210,8 +210,8 @@ func OpenShardedPostgres(shards int, cfg PostgresConfig) (DB, error) {
 }
 
 // OpenSharded dispatches on the engine model name ("redis" | "postgres").
-// kvstripes selects the kvstore concurrency profile (0 = single-mutex
-// baseline; ignored by the postgres model); tun arms the background
+// kvstripes selects the kvstore concurrency profile (0 = Redis-faithful
+// exclusive profile; ignored by the postgres model); tun arms the background
 // log-compaction triggers (zero value disables them all).
 func OpenSharded(engine string, shards int, dir string, comp Compliance, clk clock.Clock, disableDaemons bool, policy AuditPolicy, kvstripes int, tun Tuning) (DB, error) {
 	return shard.Open(engine, shards, dir, comp, clk, disableDaemons, policy, kvstripes, tun)

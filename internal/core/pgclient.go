@@ -138,9 +138,6 @@ type PostgresConfig struct {
 	// AuditSyncAlways makes the audit trail fsync per group commit
 	// instead of everysec (the strict durable-audit configuration).
 	AuditSyncAlways bool
-	// GlobalLock serializes the engine behind one mutex (the seed's
-	// original contention profile); ablation baseline for benchmarks.
-	GlobalLock bool
 	// Tuning arms the background log-compaction triggers (WAL checkpoint,
 	// audit retention); the zero value disables them all.
 	Tuning Tuning
@@ -227,7 +224,6 @@ func NewPostgresEngine(cfg PostgresConfig, statements *audit.Log) (Engine, error
 
 	relCfg := relstore.Config{
 		Clock:           clk,
-		GlobalLock:      cfg.GlobalLock,
 		CheckpointBytes: cfg.Tuning.WALCheckpointBytes,
 	}
 	if comp.Logging {

@@ -58,9 +58,10 @@ type RedisConfig struct {
 	// AuditSyncAlways makes the audit trail fsync per group commit
 	// instead of everysec (the strict durable-audit configuration).
 	AuditSyncAlways bool
-	// KVStripes partitions each kvstore's keyspace into that many hash
-	// stripes (rounded up to a power of two) with a staged group-commit
-	// AOF; 0 keeps the Redis-faithful single-mutex, inline-AOF profile.
+	// KVStripes is kvstore.Config.Striping: that many hash stripes
+	// (rounded up to a power of two) with shared-lock reads and a staged
+	// group-commit AOF; 0 is the Redis-faithful profile — one stripe,
+	// every command exclusive, AOF written on the command path.
 	KVStripes int
 	// Tuning arms the background log-compaction triggers (AOF rewrite,
 	// audit retention); the zero value disables them all.

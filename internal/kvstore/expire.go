@@ -10,12 +10,11 @@ import (
 // and the paper's strict full-scan modification (§5.1, which brings
 // erasure down to "sub-second latency for sizes of up to 1 million keys").
 //
-// In the striped profile each cycle sweeps every stripe independently
-// under that stripe's own lock (concurrently, one goroutine per stripe),
-// so expiry never stalls commands on other stripes; the lazy sampler's
-// per-iteration budget applies per stripe. Cycle victims log their AOF
-// DEL through the expiryDel path — staged without backpressure in the
-// striped profile, appended inline in the legacy one.
+// Each cycle sweeps every stripe independently under that stripe's own
+// lock (concurrently, one goroutine per stripe), so expiry never stalls
+// commands on other stripes; the lazy sampler's per-iteration budget
+// applies per stripe. Cycle victims log their AOF DEL through expiryDel,
+// without backpressure.
 
 // CycleStats reports what one expiry cycle did.
 type CycleStats struct {
@@ -34,16 +33,6 @@ type CycleStats struct {
 // drives this from a simulated clock; ServeExpiry drives it in real time.
 func (s *Store) CycleOnce() CycleStats {
 	now := s.clk.Now()
-	if !s.striped {
-		st := &s.stripes[0]
-		st.writes.Add(1)
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		if s.closed.Load() {
-			return CycleStats{}
-		}
-		return s.cycleStripe(st, now)
-	}
 	results := make([]CycleStats, len(s.stripes))
 	var wg sync.WaitGroup
 	for i := range s.stripes {

@@ -2,8 +2,9 @@
 // Redis v5.0, the NoSQL system the paper retrofits (§5.1). It reproduces
 // the Redis properties the paper's measurements depend on:
 //
-//   - a single-threaded command core (one mutex serializes all commands,
-//     preserving Redis' contention profile under multi-threaded clients);
+//   - a single-threaded command core (by default one exclusive lock
+//     serializes all commands, reads included, preserving Redis' contention
+//     profile under multi-threaded clients);
 //   - an append-only file (AOF) for persistence with the appendfsync
 //     spectrum (always / everysec / no), optionally encrypted at rest;
 //   - the lazy probabilistic TTL algorithm ("once every 100ms, it samples
@@ -16,20 +17,28 @@
 //   - by default no secondary indexes: attribute lookups are O(n) scans,
 //     which is what makes GDPR metadata queries slow on Redis (§6.2).
 //
-// Config.Striping goes beyond that faithful profile: N > 0 partitions the
-// keyspace into cacheline-padded, power-of-two hash stripes, each guarded
-// by its own reader/writer lock (point reads and selector copy-outs run
-// shared; writers and the lazy-expiry upgrade run exclusive) and
-// carrying its own expires dict, key order and
-// metadata/expiry indexes, and moves AOF persistence off the command path
-// onto a staged group-commit pipeline (a dedicated writer goroutine
-// batch-encodes and fsyncs; appendfsync always waits on the group commit,
-// everysec/no return immediately). Commands stay linearizable per key;
-// multi-key operations (Del over several keys, ForEach, Scan) observe the
-// stripes per-stripe-consistently rather than under one global snapshot —
-// the same contract the shard router already gives cross-shard queries.
-// Striping = 0 (the default) keeps the single-mutex, inline-AOF profile as
-// the Redis-faithful ablation baseline; the two profiles produce
+// There is one command core. The keyspace is partitioned into
+// cacheline-padded, power-of-two hash stripes, each guarded by its own
+// reader/writer lock and carrying its own dicts, key order and
+// metadata/expiry indexes; every command locks the stripe of the key it
+// touches, and the AOF is one sink behind internal/logpipe. Commands are
+// linearizable per key; multi-key operations (Del over several keys,
+// ForEach, Scan) observe the stripes per-stripe-consistently rather than
+// under one global snapshot — the contract the shard router already gives
+// cross-shard queries. Config.Striping picks two things and nothing else:
+//
+//	Striping  stripes   read visits (rlock)   AOF write (stage)
+//	0         1         exclusive             logpipe.Direct: encode, write and
+//	                                          policy fsync in the caller, under
+//	                                          the stripe lock
+//	N > 0     pow2(N)   shared                logpipe.Stage: a writer goroutine
+//	                                          group-commits; `always` waits for
+//	                                          the fsync, everysec/no return
+//
+// Striping = 0 (the default) is the Redis-faithful profile — commands
+// execute one at a time, a selector's predicate evaluation included
+// (copied/scanned), and pay their logging on the command path, the
+// shape the paper's Figures 4, 5 and 7 measure. Both rows write
 // byte-identical AOFs and differential transcripts. See DESIGN.md §1f.
 //
 // Config.MetadataIndexing goes beyond the paper's retrofit (which stopped
@@ -118,15 +127,16 @@ type Config struct {
 	// Indexes are rebuilt during AOF replay.
 	MetadataIndexing bool
 	// Striping partitions the keyspace into hash stripes (rounded up to a
-	// power of two), each with its own mutex, and routes AOF appends
-	// through the staged group-commit pipeline instead of the command
-	// path. 0 keeps the Redis-faithful single-mutex, inline-AOF profile.
+	// power of two) whose reads share the stripe lock and whose AOF appends
+	// are group-committed off the command path. 0 is the Redis-faithful
+	// profile: one stripe, every command exclusive, AOF written by the
+	// caller (see the package comment's table).
 	Striping int
 	// AutoRewritePct arms the automatic AOF rewrite policy (Redis'
 	// auto-aof-rewrite-percentage): when the AOF has grown by this
 	// percentage over its size after the last rewrite (and past a 1 MiB
-	// floor), a rewrite fires — concurrent with traffic in the striped
-	// profile, foreground in the legacy one. 0 disables auto rewrites.
+	// floor), a rewrite fires on its own goroutine, concurrent with
+	// traffic. 0 disables auto rewrites.
 	AutoRewritePct int
 	// Obs is the observability registry the store exports its counters to
 	// (a pull-time collector wrapping Stats, so the hot path gains no new
@@ -139,9 +149,9 @@ type entry struct {
 	expireAt time.Time // zero when the key has no TTL
 }
 
-// kv is one gathered (key, value, deadline) triple; the striped read
-// paths collect these under the stripe locks and invoke the caller's
-// function afterwards, so user code never runs inside a stripe lock.
+// kv is one gathered (key, value, deadline) triple; the selector paths
+// collect these under the stripe locks and invoke the caller's function
+// afterwards, so user code never runs inside a shared stripe lock.
 type kv struct {
 	key      string
 	value    string
@@ -150,9 +160,9 @@ type kv struct {
 
 // stripe is one hash partition of the keyspace: its own dict, expires
 // dict, scan order and index shards, all guarded by one reader/writer
-// lock. Striped-profile reads share the lock; writers — and every
-// legacy-profile command, reads included, because the Redis-faithful
-// core serializes everything — take it exclusively. The pad rounds the
+// lock. Reads share the lock when Striping > 0; writers — and every
+// Striping = 0 command, reads included, because the Redis-faithful
+// profile serializes everything — take it exclusively. The pad rounds the
 // struct to whole cache lines so adjacent stripe locks never share one
 // under concurrent commands.
 type stripe struct {
@@ -180,10 +190,9 @@ type stripe struct {
 	arena pool.Arena[entry]
 
 	// reads / writes count lock acquisitions by mode: reads are read-path
-	// visits (shared in the striped profile, still exclusive in the
-	// legacy one), writes are exclusive mutating holds (commands,
-	// lazy-expiry upgrades, expiry cycles, global freezes). They feed the
-	// Stats lock-traffic block.
+	// visits (shared when Striping > 0, exclusive at 0), writes are
+	// exclusive mutating holds (commands, lazy-expiry upgrades, expiry
+	// cycles, global freezes). They feed the Stats lock-traffic block.
 	reads  atomic.Int64
 	writes atomic.Int64
 	// contended counts lock acquisitions that found the stripe already
@@ -196,18 +205,19 @@ type stripe struct {
 
 // Store is the key-value engine. All commands are safe for concurrent
 // use. With Striping = 0 they execute one at a time, like Redis; with
-// Striping > 0 commands on different stripes run in parallel.
+// Striping > 0 reads share a stripe and commands on different stripes run
+// in parallel.
 type Store struct {
 	stripes []stripe
 	mask    uint32
-	// striped selects the concurrency profile: false is the faithful
-	// single-mutex core with inline AOF appends, true the lock-striped
-	// core with the staged AOF pipeline.
+	// striped is Config.Striping > 0. It decides the lock mode of read
+	// visits (rlock/runlock, copied/scanned) and, handed to openPipe as
+	// aofPipe.direct, who runs the AOF sink (stage/reserve); nothing else
+	// may branch on either.
 	striped bool
 
 	clk      clock.Clock
-	aof      *aof     // inline AOF (single-mutex profile); nil otherwise
-	pipe     *aofPipe // staged AOF (striped profile); nil otherwise
+	pipe     *aofPipe // the AOF; nil without one
 	aofKey   []byte
 	logReads bool
 	mode     ExpiryMode
@@ -251,8 +261,7 @@ func nextPow2(n int) int {
 // the kvstore block of gdprbench -json, mirroring the audit pipeline's
 // counters block.
 type Stats struct {
-	// Stripes is the number of hash stripes (1 in the single-mutex
-	// profile).
+	// Stripes is the number of hash stripes (1 at Striping = 0).
 	Stripes int
 	// FullScans counts full-keyspace ForEach scans served.
 	FullScans int64
@@ -260,28 +269,28 @@ type Stats struct {
 	Bytes int64
 	// IndexBytes approximates the metadata-index layer's footprint.
 	IndexBytes int64
-	// AOFBatches counts AOF group commits (inline profile: one per
-	// appended command).
+	// AOFBatches counts AOF group commits (Striping = 0: one per appended
+	// command).
 	AOFBatches int64
 	// AOFFlushes counts AOF fsyncs.
 	AOFFlushes int64
 	// LockContention counts command-path stripe-lock acquisitions that
 	// found the lock already held in a conflicting mode and had to block
 	// — the striping-effectiveness signal (0 means stripes never collide).
+	// Since PR 15 the base includes point reads (Get/Exists/TTL) blocked by
+	// a writer, which earlier ledgers did not count.
 	LockContention int64
 	// ReadLocks / WriteLocks split stripe-lock traffic by mode: reads are
-	// read-path acquisitions (shared in the striped profile; the legacy
-	// profile's read commands still hold the lock exclusively but count
-	// here, so the traffic split stays comparable across profiles), writes
-	// are exclusive mutating holds (commands, lazy-expiry upgrades, expiry
-	// cycles, global freezes).
+	// read-path acquisitions (shared when Striping > 0; at 0 they hold the
+	// lock exclusively but count here, so the traffic split stays
+	// comparable across profiles), writes are exclusive mutating holds
+	// (commands, lazy-expiry upgrades, expiry cycles, global freezes).
 	ReadLocks  int64
 	WriteLocks int64
 	// AOFRewrites counts completed AOF rewrites (manual and auto-
 	// triggered); AOFLastRewriteMicros is the last one's wall-clock
 	// duration, and AOFRewriteDiverted the total command frames captured
-	// by rewrite buffers while snapshots streamed (0 in the foreground
-	// paths, which freeze writers instead).
+	// by rewrite buffers while snapshots streamed.
 	AOFRewrites          int64
 	AOFLastRewriteMicros int64
 	AOFRewriteDiverted   int64
@@ -293,8 +302,8 @@ type Stats struct {
 }
 
 // Open creates a Store. If cfg.AOFPath exists, its commands are replayed
-// to rebuild state before the store accepts commands; the striped
-// profile rebuilds stripes concurrently.
+// to rebuild state before the store accepts commands, one worker per
+// stripe.
 func Open(cfg Config) (*Store, error) {
 	striped := cfg.Striping > 0
 	n := 1
@@ -336,24 +345,13 @@ func Open(cfg Config) (*Store, error) {
 			return nil, err
 		}
 		s.replayMicros.Store(time.Since(replayStart).Microseconds())
-		if striped {
-			p, err := openPipe(cfg.AOFPath, cfg.EncryptionKey, cfg.AOFSync, s.clk)
-			if err != nil {
-				return nil, err
-			}
-			s.pipe = p
-			if sz, err := p.file.Size(); err == nil {
-				s.aofBase.Store(sz)
-			}
-		} else {
-			a, err := openAOF(cfg.AOFPath, cfg.EncryptionKey, cfg.AOFSync, s.clk)
-			if err != nil {
-				return nil, err
-			}
-			s.aof = a
-			if sz, err := a.size(); err == nil {
-				s.aofBase.Store(sz)
-			}
+		p, err := openPipe(cfg.AOFPath, cfg.EncryptionKey, cfg.AOFSync, s.clk, !striped)
+		if err != nil {
+			return nil, err
+		}
+		s.pipe = p
+		if sz, err := p.file.Size(); err == nil {
+			s.aofBase.Store(sz)
 		}
 		s.aofKey = cfg.EncryptionKey
 		s.autoPct = cfg.AutoRewritePct
@@ -418,9 +416,9 @@ func (s *Store) unlockAll() {
 	}
 }
 
-// rlock / runlock acquire st for a read-only visit: shared in the
-// striped profile, exclusive in the legacy one (the Redis-faithful core
-// serializes every command, reads included).
+// rlock / runlock acquire st for a read-only visit: shared when
+// Striping > 0, exclusive at 0 (the Redis-faithful profile serializes
+// every command, reads included). Every read site goes through them.
 func (s *Store) rlock(st *stripe) {
 	st.reads.Add(1)
 	if s.striped {
@@ -454,7 +452,28 @@ func (s *Store) runlock(st *stripe) {
 	st.mu.Unlock()
 }
 
-// kvScratch / partsScratch pool the striped selector copy-out buffers
+// copied / scanned are runlock split in two for the selector scans
+// (ForEach, IndexedForEach), which copy their matches out and then run
+// the caller's fn over the copy. copied marks the end of st's copy-out
+// and scanned the end of the whole scan; a shared hold (Striping > 0) is
+// released at copied, so fn runs outside any lock, while the exclusive
+// hold (Striping = 0, one stripe) lasts until scanned — predicate
+// evaluation is paid inside the serialized command core, as in Redis,
+// which is what makes Figure 7b's completion time grow with the dataset
+// whatever the client thread count.
+func (s *Store) copied(st *stripe) {
+	if s.striped {
+		st.mu.RUnlock()
+	}
+}
+
+func (s *Store) scanned() {
+	if !s.striped {
+		s.stripes[0].mu.Unlock()
+	}
+}
+
+// kvScratch / partsScratch pool the selector copy-out buffers
 // (gather/ForEach/IndexedForEach). Elements are cleared on Put, so
 // pooled scratch never extends the lifetime of gathered values — the
 // copy-on-checkout contract internal/pool documents.
@@ -624,109 +643,97 @@ func (st *stripe) expireIfDue(key string, now time.Time) bool {
 	return true
 }
 
-// gather collects the live (unexpired) keys of this stripe in scan
-// order, under the stripe's shared lock (striped profile only), into a
-// pooled scratch slice the caller hands back through putParts.
-func (st *stripe) gather(now time.Time) []kv {
-	st.reads.Add(1)
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	out := kvScratch.Get(len(st.keySlice))
-	for _, k := range st.keySlice {
-		e := st.dict[k]
-		if !e.expireAt.IsZero() && !e.expireAt.After(now) {
-			continue
-		}
-		out = append(out, kv{k, e.value, e.expireAt})
+// scatter is the selector scans' first half: collect runs on every stripe
+// in parallel, each under its read lock, copying that stripe's matches
+// out of a pooled kvScratch slice. The visits end at copied, so the
+// caller owes scanned once fn has run, and putParts for the result.
+func (s *Store) scatter(collect func(st *stripe) []kv) [][]kv {
+	parts := partsScratch.Get(len(s.stripes))
+	parts = parts[:len(s.stripes)]
+	var wg sync.WaitGroup
+	for i := range s.stripes {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			st := &s.stripes[i]
+			s.rlock(st)
+			defer s.copied(st)
+			parts[i] = collect(st)
+		}(i)
 	}
-	return out
+	wg.Wait()
+	return parts
 }
 
 // ---------------------------------------------------------------------------
-// AOF append helpers: the single-mutex profile appends inline under the
-// stripe lock (the faithful command-path cost); the striped profile
-// stages the op for the writer goroutine and waits only as far as the
-// fsync policy requires. Both emit byte-identical frames.
+// AOF append helpers. Callers hold the mutated stripe's lock (every
+// stripe's, for FLUSHALL), so the sequence logpipe assigns — hence AOF
+// file order — matches apply order per key.
 
-// stageSet / stageDel / stageExpireAt / stageFlushAll run with the
-// caller holding the mutated stripe's lock (or every stripe's, for
-// FLUSHALL), so the assigned sequence — hence AOF file order — matches
-// apply order per key.
+// stage hands op to the AOF. Striping = 0 runs the sink in the caller
+// (logpipe.Direct: the op is written, and fsynced per policy, before the
+// stripe lock drops — the faithful command-path cost; sequence 0, nothing
+// left to wait for). Striping > 0 queues it for the writer goroutine and
+// returns the sequence commit waits on. Command writes hold a reserved
+// slot; reads and expiry DELs pass slotted=false.
+func (s *Store) stage(op stagedOp, slotted bool) (uint64, error) {
+	if s.pipe == nil {
+		return 0, nil
+	}
+	if s.pipe.direct {
+		_, err := s.pipe.log.Direct(op)
+		return 0, err
+	}
+	_, seq, err := s.pipe.log.Stage(op, slotted)
+	return seq, err
+}
 
 func (s *Store) appendSet(key, value string, expireAt time.Time) (uint64, error) {
 	// ~frame size; feeds the auto-rewrite growth ratio, not accounting.
 	s.aofAppended.Add(int64(len(key)+len(value)) + 16)
-	if s.aof != nil {
-		return 0, s.aof.appendSet(key, value, expireAt)
+	op := stagedOp{op: opSet, key: key, value: value}
+	if !expireAt.IsZero() {
+		op.op = opSetex
+		op.ns = expireAt.UnixNano()
 	}
-	if s.pipe != nil {
-		op := stagedOp{op: opSet, key: key, value: value}
-		if !expireAt.IsZero() {
-			op.op = opSetex
-			op.ns = expireAt.UnixNano()
-		}
-		return s.pipe.stage(op, true)
-	}
-	return 0, nil
+	return s.stage(op, true)
 }
 
 func (s *Store) appendDel(key string) (uint64, error) {
 	s.aofAppended.Add(int64(len(key)) + 16)
-	if s.aof != nil {
-		return 0, s.aof.appendDel(key)
-	}
-	if s.pipe != nil {
-		return s.pipe.stage(stagedOp{op: opDel, key: key}, true)
-	}
-	return 0, nil
+	return s.stage(stagedOp{op: opDel, key: key}, true)
 }
 
 func (s *Store) appendExpireAt(key string, t time.Time) (uint64, error) {
 	s.aofAppended.Add(int64(len(key)) + 24)
-	if s.aof != nil {
-		return 0, s.aof.appendExpireAt(key, t)
+	var ns int64
+	if !t.IsZero() {
+		ns = t.UnixNano()
 	}
-	if s.pipe != nil {
-		var ns int64
-		if !t.IsZero() {
-			ns = t.UnixNano()
-		}
-		return s.pipe.stage(stagedOp{op: opExpireAt, key: key, ns: ns}, true)
-	}
-	return 0, nil
+	return s.stage(stagedOp{op: opExpireAt, key: key, ns: ns}, true)
 }
 
 // expiryDel records an expiry-cycle DEL. Cycle victims bypass the
 // backpressure semaphore (their volume is bounded by the cycle's sample
 // budget, and a cycle must not park inside a stripe lock).
 func (s *Store) expiryDel(key string) {
-	if s.aof != nil {
-		_ = s.aof.appendDel(key)
-	}
-	if s.pipe != nil {
-		_, _ = s.pipe.stage(stagedOp{op: opDel, key: key}, false)
-	}
+	_, _ = s.stage(stagedOp{op: opDel, key: key}, false)
 }
 
 // logRead records a read op (GET/SCAN/IDXSCAN) when read logging is on.
 // Read logging failures do not fail the read (Redis' AOF write errors
 // are handled out-of-band); they surface on Sync/Close.
 func (s *Store) logRead(op, operand string) {
-	if !s.logReads {
-		return
-	}
-	if s.aof != nil {
-		_ = s.aof.appendRead(op, operand)
-	}
-	if s.pipe != nil {
-		_, _ = s.pipe.stage(stagedOp{op: op, key: operand}, false)
+	if s.logReads {
+		_, _ = s.stage(stagedOp{op: op, key: operand}, false)
 	}
 }
 
-// reserve acquires one backpressure slot before a command write (a
-// no-op in the inline profile). Callers must not hold a stripe lock.
+// reserve acquires one backpressure slot before a command write; Direct
+// writes queue nothing, so Striping = 0 has no slots to take. Callers
+// must not hold a stripe lock.
 func (s *Store) reserve() error {
-	if s.pipe == nil {
+	if s.pipe == nil || s.pipe.direct {
 		return nil
 	}
 	return s.pipe.log.Reserve()
@@ -735,18 +742,19 @@ func (s *Store) reserve() error {
 // unreserve returns an unused slot when the command turned out not to
 // stage anything (missing key, no TTL to clear).
 func (s *Store) unreserve() {
-	if s.pipe != nil {
+	if s.pipe != nil && !s.pipe.direct {
 		s.pipe.log.Release()
 	}
 }
 
 // commit applies the post-stage wait for one staged write: under
 // appendfsync always the caller blocks until a group commit covers seq;
-// everysec/no return immediately (surfacing any sticky writer error).
+// everysec/no return immediately (surfacing any sticky writer error). A
+// Direct write has seq 0 and is already as durable as the policy asks.
 // Every successful write also ticks the auto-rewrite policy here, off
 // the stripe lock.
 func (s *Store) commit(seq uint64, err error) error {
-	if err == nil && s.pipe != nil && seq != 0 {
+	if err == nil && seq != 0 {
 		err = s.pipe.log.Wait(seq)
 	}
 	if err == nil {
@@ -782,64 +790,40 @@ func (s *Store) SetWithExpiry(key, value string, expireAt time.Time) error {
 }
 
 // Get returns the value for key. Expired keys are deleted on access and
-// reported as missing. The striped profile serves hits and misses under
-// a shared stripe lock, upgrading to the exclusive lock only when it
-// finds a due deadline; the legacy profile keeps the exclusive lock so
-// the Redis-faithful core stays fully serialized.
+// reported as missing. Hits and misses are served under the stripe's
+// read lock, upgrading to the exclusive lock only on a due deadline.
 func (s *Store) Get(key string) (string, bool) {
 	st := s.stripeFor(key)
-	if !s.striped {
-		st.reads.Add(1)
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		if s.closed.Load() {
-			return "", false
-		}
-		now := s.clk.Now()
-		if st.expireIfDue(key, now) {
-			s.logRead(opGet, key)
-			return "", false
-		}
-		e, ok := st.dict[key]
-		if !ok {
-			s.logRead(opGet, key)
-			return "", false
-		}
-		s.logRead(opGet, key)
-		return e.value, true
-	}
-	st.reads.Add(1)
-	st.mu.RLock()
+	s.rlock(st)
 	if s.closed.Load() {
-		st.mu.RUnlock()
+		s.runlock(st)
 		return "", false
 	}
 	now := s.clk.Now()
 	e, ok := st.dict[key]
 	if ok && !e.expireAt.IsZero() && !e.expireAt.After(now) {
-		st.mu.RUnlock()
+		s.runlock(st)
 		s.lazyExpire(st, key, now, opGet)
 		return "", false
 	}
 	var v string
 	if ok {
-		// Copying the string header under the shared lock is what makes
-		// the in-place entry overwrite in stripe.set safe: writers are
-		// excluded until RUnlock, and the bytes themselves are immutable.
+		// Copying the string header under the read lock is what makes the
+		// in-place entry overwrite in stripe.set safe: writers are excluded
+		// until runlock, and the bytes themselves are immutable.
 		v = e.value
 	}
 	s.logRead(opGet, key)
-	st.mu.RUnlock()
+	s.runlock(st)
 	return v, ok
 }
 
 // lazyExpire is the read path's lock upgrade: a reader that observed a
-// due deadline under the shared lock drops it, takes the exclusive lock
+// due deadline under the read lock drops it, takes the exclusive lock
 // and re-checks before deleting — the key may have been deleted,
 // overwritten or re-armed in the unlocked window, in which case
 // expireIfDue correctly does nothing. logOp, when non-empty, records the
-// triggering read once under the exclusive hold, matching the legacy
-// profile's log position.
+// triggering read once under the exclusive hold.
 func (s *Store) lazyExpire(st *stripe, key string, now time.Time, logOp string) {
 	s.wlock(st)
 	defer st.mu.Unlock()
@@ -892,30 +876,10 @@ func (s *Store) Update(key string, fn func(value string, expireAt time.Time) (st
 	return true, s.commit(seq, err)
 }
 
-// Del removes the given keys, returning how many existed. In the
-// single-mutex profile the whole multi-key delete holds the one lock,
-// like Redis' atomic DEL; the striped profile deletes per key under each
-// key's stripe lock (per-key linearizable, not atomic across keys — the
-// shard router's cross-shard contract).
+// Del removes the given keys, returning how many existed. Each key is
+// deleted under its own stripe lock: per-key linearizable, not atomic
+// across keys — the shard router's cross-shard contract.
 func (s *Store) Del(keys ...string) (int, error) {
-	if !s.striped {
-		st := &s.stripes[0]
-		s.wlock(st)
-		defer st.mu.Unlock()
-		if s.closed.Load() {
-			return 0, errClosed
-		}
-		n := 0
-		for _, k := range keys {
-			if st.del(k) {
-				n++
-				if _, err := s.appendDel(k); err != nil {
-					return n, err
-				}
-			}
-		}
-		return n, nil
-	}
 	n := 0
 	var lastSeq uint64
 	for _, k := range keys {
@@ -935,8 +899,13 @@ func (s *Store) Del(keys ...string) (int, error) {
 			continue
 		}
 		n++
-		seq, _ := s.appendDel(k)
+		seq, err := s.appendDel(k)
 		st.mu.Unlock()
+		if err != nil {
+			// The key is gone from memory but its DEL is not in the log:
+			// the caller must not take the erasure as acknowledged.
+			return n, err
+		}
 		lastSeq = seq
 	}
 	// One durability wait covers the batch: group commits are ordered,
@@ -947,26 +916,15 @@ func (s *Store) Del(keys ...string) (int, error) {
 // Exists reports whether key is present and unexpired.
 func (s *Store) Exists(key string) bool {
 	st := s.stripeFor(key)
-	if !s.striped {
-		st.reads.Add(1)
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		if st.expireIfDue(key, s.clk.Now()) {
-			return false
-		}
-		_, ok := st.dict[key]
-		return ok
-	}
-	st.reads.Add(1)
-	st.mu.RLock()
+	s.rlock(st)
 	now := s.clk.Now()
 	e, ok := st.dict[key]
 	if ok && !e.expireAt.IsZero() && !e.expireAt.After(now) {
-		st.mu.RUnlock()
+		s.runlock(st)
 		s.lazyExpire(st, key, now, "")
 		return false
 	}
-	st.mu.RUnlock()
+	s.runlock(st)
 	return ok
 }
 
@@ -996,33 +954,15 @@ func (s *Store) ExpireAt(key string, t time.Time) (bool, error) {
 // not exist; a zero duration with ok=true means no TTL is set.
 func (s *Store) TTL(key string) (time.Duration, bool) {
 	st := s.stripeFor(key)
-	if !s.striped {
-		st.reads.Add(1)
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		now := s.clk.Now()
-		if st.expireIfDue(key, now) {
-			return 0, false
-		}
-		e, ok := st.dict[key]
-		if !ok {
-			return 0, false
-		}
-		if e.expireAt.IsZero() {
-			return 0, true
-		}
-		return e.expireAt.Sub(now), true
-	}
-	st.reads.Add(1)
-	st.mu.RLock()
+	s.rlock(st)
 	now := s.clk.Now()
 	e, ok := st.dict[key]
 	if !ok {
-		st.mu.RUnlock()
+		s.runlock(st)
 		return 0, false
 	}
 	if !e.expireAt.IsZero() && !e.expireAt.After(now) {
-		st.mu.RUnlock()
+		s.runlock(st)
 		s.lazyExpire(st, key, now, "")
 		return 0, false
 	}
@@ -1030,7 +970,7 @@ func (s *Store) TTL(key string) (time.Duration, bool) {
 	if !e.expireAt.IsZero() {
 		d = e.expireAt.Sub(now)
 	}
-	st.mu.RUnlock()
+	s.runlock(st)
 	return d, true
 }
 
@@ -1058,102 +998,68 @@ func (s *Store) Persist(key string) (bool, error) {
 	return true, s.commit(seq, err)
 }
 
-// DBSize returns the number of keys (including not-yet-expired ones).
-func (s *Store) DBSize() int {
-	n := 0
+// sumStripes adds up f over every stripe, each visited under its read lock.
+func (s *Store) sumStripes(f func(*stripe) int64) int64 {
+	var n int64
 	for i := range s.stripes {
 		st := &s.stripes[i]
 		s.rlock(st)
-		n += len(st.dict)
+		n += f(st)
 		s.runlock(st)
 	}
 	return n
 }
 
+// DBSize returns the number of keys (including not-yet-expired ones).
+func (s *Store) DBSize() int {
+	return int(s.sumStripes(func(st *stripe) int64 { return int64(len(st.dict)) }))
+}
+
 // ExpiresSize returns the number of keys carrying a TTL.
 func (s *Store) ExpiresSize() int {
-	n := 0
-	for i := range s.stripes {
-		st := &s.stripes[i]
-		s.rlock(st)
-		n += len(st.expires)
-		s.runlock(st)
-	}
-	return n
+	return int(s.sumStripes(func(st *stripe) int64 { return int64(len(st.expires)) }))
 }
 
 // MemoryBytes approximates Redis' used-memory for the dataset: the sum of
 // key and value bytes currently stored. It feeds the space-overhead metric.
 func (s *Store) MemoryBytes() int64 {
-	var b int64
-	for i := range s.stripes {
-		st := &s.stripes[i]
-		s.rlock(st)
-		b += st.bytes
-		s.runlock(st)
-	}
-	return b
+	return s.sumStripes(func(st *stripe) int64 { return st.bytes })
 }
 
 // ForEach invokes fn for every live (unexpired) key, stopping early if
 // fn returns false. This is the engine's only way to evaluate attribute
 // predicates — the O(n) scan the paper attributes to Redis' lack of
 // secondary indexes. Expired-but-unreaped keys are skipped (and counted)
-// but not deleted. In the single-mutex profile fn runs under the store
-// lock, exactly like Redis' scan; the striped profile gathers each
-// stripe in parallel under its own lock and then invokes fn outside any
-// lock — per-stripe consistent, not a global snapshot (the shard
-// router's scatter-gather contract). fn must not mutate the store.
+// but not deleted. Every stripe is gathered in parallel under its own
+// read lock and fn runs afterwards over the copy-out — per-stripe
+// consistent, not a global snapshot (the shard router's scatter-gather
+// contract). With Striping > 0 fn runs outside any lock; at Striping = 0
+// the store stays locked until fn is done (see copied/scanned). fn must
+// not call back into the store.
 func (s *Store) ForEach(fn func(key, value string, expireAt time.Time) bool) {
 	s.fullScans.Add(1)
 	now := s.clk.Now()
-	if !s.striped {
-		st := &s.stripes[0]
-		st.reads.Add(1)
-		st.mu.Lock()
-		defer st.mu.Unlock()
+	parts := s.scatter(func(st *stripe) []kv {
+		out := kvScratch.Get(len(st.keySlice))
 		for _, k := range st.keySlice {
 			e := st.dict[k]
 			if !e.expireAt.IsZero() && !e.expireAt.After(now) {
 				continue
 			}
-			if !fn(k, e.value, e.expireAt) {
-				break
-			}
+			out = append(out, kv{k, e.value, e.expireAt})
 		}
-		s.logRead(opScan, "*")
-		return
-	}
-	parts := s.gatherAll(now)
+		return out
+	})
+	defer s.scanned()
 	defer putParts(parts)
+	defer s.logRead(opScan, "*")
 	for _, part := range parts {
 		for _, item := range part {
 			if !fn(item.key, item.value, item.expireAt) {
-				s.logRead(opScan, "*")
 				return
 			}
 		}
 	}
-	s.logRead(opScan, "*")
-}
-
-// gatherAll snapshots every stripe's live keys in parallel — the
-// scatter-gather half of the striped selector paths. The result (outer
-// slice and every part) is pooled; callers must release it with
-// putParts once they are done with the gathered values.
-func (s *Store) gatherAll(now time.Time) [][]kv {
-	parts := partsScratch.Get(len(s.stripes))
-	parts = parts[:len(s.stripes)]
-	var wg sync.WaitGroup
-	for i := range s.stripes {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			parts[i] = s.stripes[i].gather(now)
-		}(i)
-	}
-	wg.Wait()
-	return parts
 }
 
 // IndexedForEach resolves the records whose attr metadata contains value
@@ -1163,74 +1069,39 @@ func (s *Store) gatherAll(now time.Time) [][]kv {
 // is off or attr is not an inverted dimension; callers then fall back to
 // the scan. Expired-but-unreaped keys are skipped but not deleted,
 // mirroring ForEach's semantics exactly so the two access paths stay
-// byte-equivalent. The striped profile looks up each stripe's posting
-// shard in parallel and merges; fn runs outside the stripe locks.
+// byte-equivalent. Each stripe's posting shard is looked up in parallel
+// and the results merged; fn runs over the merged copy-out, under the
+// same locking as ForEach's.
 func (s *Store) IndexedForEach(attr gdpr.Attribute, value string, fn func(key, value string, expireAt time.Time) bool) bool {
 	if s.stripes[0].meta == nil {
 		return false
 	}
 	now := s.clk.Now()
-	if !s.striped {
-		st := &s.stripes[0]
-		st.reads.Add(1)
-		st.mu.Lock()
-		defer st.mu.Unlock()
+	// Lookup's ok depends only on whether attr is an indexed dimension,
+	// so every stripe agrees.
+	dim := atomic.Bool{}
+	dim.Store(true)
+	parts := s.scatter(func(st *stripe) []kv {
 		keys, ok := st.meta.Lookup(attr, value)
 		if !ok {
-			return false
+			dim.Store(false)
+			return nil
 		}
+		out := kvScratch.Get(len(keys))
 		for _, k := range keys {
 			e := st.dict[k]
 			if e == nil {
-				continue // unreachable while the index is maintained; stay safe
+				continue
 			}
 			if !e.expireAt.IsZero() && !e.expireAt.After(now) {
 				continue
 			}
-			if !fn(k, e.value, e.expireAt) {
-				break
-			}
+			out = append(out, kv{k, e.value, e.expireAt})
 		}
-		s.logRead(opIdxScan, string(attr)+"="+value)
-		return true
-	}
-	// Lookup's ok depends only on whether attr is an indexed dimension,
-	// so every stripe agrees; probe under the shared stripe locks in
-	// parallel, copying matches out into pooled scratch.
-	parts := partsScratch.Get(len(s.stripes))
-	parts = parts[:len(s.stripes)]
+		return out
+	})
+	defer s.scanned()
 	defer putParts(parts)
-	dim := atomic.Bool{}
-	dim.Store(true)
-	var wg sync.WaitGroup
-	for i := range s.stripes {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			st := &s.stripes[i]
-			st.reads.Add(1)
-			st.mu.RLock()
-			defer st.mu.RUnlock()
-			keys, ok := st.meta.Lookup(attr, value)
-			if !ok {
-				dim.Store(false)
-				return
-			}
-			out := kvScratch.Get(len(keys))
-			for _, k := range keys {
-				e := st.dict[k]
-				if e == nil {
-					continue
-				}
-				if !e.expireAt.IsZero() && !e.expireAt.After(now) {
-					continue
-				}
-				out = append(out, kv{k, e.value, e.expireAt})
-			}
-			parts[i] = out
-		}(i)
-	}
-	wg.Wait()
 	if !dim.Load() {
 		return false
 	}
@@ -1244,7 +1115,7 @@ func (s *Store) IndexedForEach(attr gdpr.Attribute, value string, fn func(key, v
 		merged = append(merged, part...)
 	}
 	// Per-stripe postings come back sorted; restore the global sorted
-	// key order the single-mutex profile emits.
+	// key order.
 	slices.SortFunc(merged, func(a, b kv) int { return strings.Compare(a.key, b.key) })
 	for _, item := range merged {
 		if !fn(item.key, item.value, item.expireAt) {
@@ -1266,44 +1137,16 @@ func (s *Store) IndexBytes() int64 {
 	if s.stripes[0].meta == nil {
 		return 0
 	}
-	var b int64
-	for i := range s.stripes {
-		st := &s.stripes[i]
-		s.rlock(st)
-		b += st.meta.Bytes() + st.exp.Bytes()
-		s.runlock(st)
-	}
-	return b
+	return s.sumStripes(func(st *stripe) int64 { return st.meta.Bytes() + st.exp.Bytes() })
 }
 
 // Scan returns up to count keys starting at cursor, plus the next cursor
 // (0 when the iteration completed). Like Redis SCAN it guarantees that
-// keys present for the whole scan are returned at least once. The striped
-// profile treats the cursor as an offset into the concatenation of the
-// per-stripe scan orders, locking one stripe at a time — approximate
-// under concurrent mutation, exactly like Redis' cursor.
+// keys present for the whole scan are returned at least once. The cursor
+// is an offset into the concatenation of the per-stripe scan orders,
+// locking one stripe at a time — approximate under concurrent mutation,
+// exactly like Redis' cursor.
 func (s *Store) Scan(cursor, count int) ([]string, int) {
-	if !s.striped {
-		st := &s.stripes[0]
-		st.reads.Add(1)
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		if cursor < 0 || cursor >= len(st.keySlice) {
-			s.logRead(opScan, "*")
-			return nil, 0
-		}
-		end := cursor + count
-		if end > len(st.keySlice) {
-			end = len(st.keySlice)
-		}
-		out := append([]string(nil), st.keySlice[cursor:end]...)
-		next := end
-		if next >= len(st.keySlice) {
-			next = 0
-		}
-		s.logRead(opScan, "*")
-		return out, next
-	}
 	if cursor < 0 {
 		s.logRead(opScan, "*")
 		return nil, 0
@@ -1312,8 +1155,7 @@ func (s *Store) Scan(cursor, count int) ([]string, int) {
 	offset, total := 0, 0
 	for i := range s.stripes {
 		st := &s.stripes[i]
-		st.reads.Add(1)
-		st.mu.RLock()
+		s.rlock(st)
 		n := len(st.keySlice)
 		lo, hi := cursor, cursor+count
 		if lo < offset {
@@ -1327,7 +1169,7 @@ func (s *Store) Scan(cursor, count int) ([]string, int) {
 		}
 		offset += n
 		total += n
-		st.mu.RUnlock()
+		s.runlock(st)
 	}
 	s.logRead(opScan, "*")
 	if cursor >= total {
@@ -1340,9 +1182,9 @@ func (s *Store) Scan(cursor, count int) ([]string, int) {
 	return out, next
 }
 
-// FlushAll removes all keys. The striped profile locks every stripe, so
-// the flush is totally ordered against every concurrent command and its
-// AOF record lands at the matching position.
+// FlushAll removes all keys. It locks every stripe, so the flush is
+// totally ordered against every concurrent command and its AOF record
+// lands at the matching position.
 func (s *Store) FlushAll() error {
 	if err := s.reserve(); err != nil {
 		return err
@@ -1356,22 +1198,16 @@ func (s *Store) FlushAll() error {
 	for i := range s.stripes {
 		s.stripes[i].flush()
 	}
-	var seq uint64
-	var err error
-	if s.aof != nil {
-		err = s.aof.appendFlushAll()
-	} else if s.pipe != nil {
-		seq, err = s.pipe.stage(stagedOp{op: opFlushAll}, true)
-	}
+	seq, err := s.stage(stagedOp{op: opFlushAll}, true)
 	s.unlockAll()
 	return s.commit(seq, err)
 }
 
 // Info returns server facts, GET-SYSTEM-FEATURES style.
 func (s *Store) Info() map[string]string {
-	striping := 0
+	striping, staged := 0, ""
 	if s.striped {
-		striping = len(s.stripes)
+		striping, staged = len(s.stripes), " (staged)"
 	}
 	info := map[string]string{
 		"engine":            "kvstore (redis-model)",
@@ -1383,12 +1219,8 @@ func (s *Store) Info() map[string]string {
 		"log_reads":         fmt.Sprintf("%v", s.logReads),
 		"metadata_indexing": fmt.Sprintf("%v", s.stripes[0].meta != nil),
 	}
-	if s.aof != nil {
-		info["aof"] = s.aof.policy.String()
-		info["aof_encrypted"] = fmt.Sprintf("%v", s.aof.encrypted)
-	}
 	if s.pipe != nil {
-		info["aof"] = s.pipe.policy.String() + " (staged)"
+		info["aof"] = s.pipe.policy.String() + staged
 		info["aof_encrypted"] = fmt.Sprintf("%v", s.pipe.encrypted)
 	}
 	return info
@@ -1413,12 +1245,6 @@ func (s *Store) Stats() Stats {
 		st.WriteLocks += s.stripes[i].writes.Load()
 		st.LockContention += s.stripes[i].contended.Load()
 	}
-	if s.aof != nil {
-		s.stripes[0].mu.Lock()
-		st.AOFBatches = s.aof.appends
-		st.AOFFlushes = s.aof.syncs
-		s.stripes[0].mu.Unlock()
-	}
 	if s.pipe != nil {
 		ps := s.pipe.log.Stats()
 		st.AOFBatches, st.AOFFlushes = ps.Batches, ps.Flushes
@@ -1426,14 +1252,9 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// Sync flushes the AOF to stable storage. The staged pipeline first
-// barriers on the writer having consumed every staged command.
+// Sync flushes the AOF to stable storage, first barriering on the writer
+// having consumed every staged command.
 func (s *Store) Sync() error {
-	if s.aof != nil {
-		s.stripes[0].mu.Lock()
-		defer s.stripes[0].mu.Unlock()
-		return s.aof.sync()
-	}
 	if s.pipe != nil {
 		return s.pipe.log.Sync()
 	}
@@ -1442,19 +1263,14 @@ func (s *Store) Sync() error {
 
 // AOFSize returns the AOF's on-disk size in bytes (0 without an AOF).
 func (s *Store) AOFSize() (int64, error) {
-	if s.aof != nil {
-		s.stripes[0].mu.Lock()
-		defer s.stripes[0].mu.Unlock()
-		return s.aof.size()
-	}
 	if s.pipe != nil {
 		return s.pipe.sizeBarrier()
 	}
 	return 0, nil
 }
 
-// Close stops background expiry, drains the staged AOF pipeline and
-// closes the AOF. Close is idempotent.
+// Close stops background expiry, drains the AOF pipe and closes the AOF.
+// Close is idempotent.
 func (s *Store) Close() error {
 	s.obsColl.Close()
 	s.StopExpiry()
@@ -1468,11 +1284,6 @@ func (s *Store) Close() error {
 	// below is complete.
 	s.closed.Store(true)
 	s.unlockAll()
-	if s.aof != nil {
-		s.stripes[0].mu.Lock()
-		defer s.stripes[0].mu.Unlock()
-		return s.aof.close()
-	}
 	if s.pipe != nil {
 		return s.pipe.close()
 	}

@@ -4,10 +4,11 @@ import "repro/internal/obs"
 
 // Amortized-event histograms and background-task gauges, reported to the
 // process-wide registry. These sites fire per group commit, per fsync or
-// per rewrite — never per command — so recording straight into the default
-// registry costs nothing on the hot path. Per-command counters stay in the
-// per-store atomics and reach the registry through the pull-time collector
-// registered in Open.
+// per rewrite, so recording straight into the default registry costs the
+// staged hot path nothing; at Striping = 0 every Direct write is its own
+// batch of one and pays the batch-size observation itself. Per-command
+// counters stay in the per-store atomics and reach the registry through
+// the pull-time collector registered in Open.
 var (
 	obsAOFBatchOps      = obs.Default().Histogram("kvstore_aof_batch_ops")
 	obsAOFFsyncNs       = obs.Default().Histogram("kvstore_aof_fsync_ns")

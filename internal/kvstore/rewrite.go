@@ -12,30 +12,32 @@ import (
 // Background AOF rewrite — Redis' BGREWRITEAOF, done concurrently with
 // live traffic instead of under a global freeze:
 //
-//  1. start diverting: every frame the staged writer appends to the live
+//  1. start diverting: every frame the sink appends to the live
 //     AOF is also copied into an in-memory rewrite buffer (under the
 //     same IO lock as the append, so the copy is exact and ordered);
 //  2. snapshot the store stripe by stripe: copy each stripe's (key,
-//     value, deadline) triples out under its shared lock, then encode
+//     value, deadline) triples out under its read lock, then encode
 //     and stream them to path+".rewrite" with no lock held;
 //  3. swap under a short exclusive IO window: drain the rewrite buffer
 //     onto the new file, fsync, atomically rename over the live AOF and
 //     reopen.
 //
 // Correctness rests on the AOF grammar being idempotent last-writer-wins
-// state setters and on the staging protocol's apply-then-stage critical
-// section: an op sequenced before the divert began was applied inside
-// its stripe's critical section, which the snapshot's shared lock cannot
-// enter mid-update — so its effect is in the snapshot. An op applied
-// after a stripe's snapshot was staged after the divert began, so its
-// frame lands in the rewrite buffer. Ops captured by both re-apply
+// state setters and on the apply-then-stage critical section (staged or
+// Direct alike): an op sequenced before the divert began was applied
+// inside its stripe's critical section, which the snapshot's read lock
+// cannot enter mid-update — so its effect is in the snapshot. An op
+// applied after a stripe's snapshot was staged after the divert began, so
+// its frame lands in the rewrite buffer. Ops captured by both re-apply
 // idempotently. FLUSHALL holds every stripe lock, so a flush landing
 // between two stripe snapshots wipes the mixed prefix via its diverted
 // frame, exactly as it wiped the live store.
 //
-// GETs never block: readers share stripe locks with the snapshot copy.
-// Writers to a stripe wait only for that stripe's copy-out (memory
-// speed, no IO), plus the swap's buffered-drain window at the end.
+// With Striping > 0 GETs never block: readers share stripe locks with the
+// snapshot copy. Writers to a stripe — and at Striping = 0, where the
+// read lock is exclusive, every command — wait only for that stripe's
+// copy-out (memory speed, no IO), plus the swap's buffered-drain window
+// at the end for writers.
 
 // autoRewriteMinBytes is the size floor below which the auto-rewrite
 // policy never fires (Redis' auto-aof-rewrite-min-size, scaled to
@@ -118,7 +120,7 @@ func (p *aofPipe) swapRewritten(nf *securefs.File, tmp string, key []byte) (int6
 	if err := securefs.Replace(tmp, p.path); err != nil {
 		return poison(err)
 	}
-	na, err := securefs.Append(p.path, securefs.Options{Key: key, BufferSize: 1 << 16})
+	na, err := securefs.Append(p.path, p.fileOptions(key))
 	if err != nil {
 		return poison(err)
 	}
@@ -130,10 +132,15 @@ func (p *aofPipe) swapRewritten(nf *securefs.File, tmp string, key []byte) (int6
 	return diverted, size, nil
 }
 
-// backgroundRewrite is the striped profile's concurrent rewrite (see the
-// file comment). One runs at a time; close() waits for it via rewriteMu.
-func (s *Store) backgroundRewrite() error {
+// Rewrite compacts the AOF: the current dataset is written as a fresh
+// sequence of SET/SETEX commands to path+".rewrite", which then
+// atomically replaces the live AOF (Redis' BGREWRITEAOF; see the file
+// comment). One runs at a time; close() waits for it via rewriteMu.
+func (s *Store) Rewrite() error {
 	p := s.pipe
+	if p == nil {
+		return fmt.Errorf("kvstore: no AOF to rewrite")
+	}
 	p.rewriteMu.Lock()
 	defer p.rewriteMu.Unlock()
 	if s.closed.Load() {
@@ -148,7 +155,7 @@ func (s *Store) backgroundRewrite() error {
 	if p.encrypted {
 		key = s.aofKey
 	}
-	nf, err := securefs.Create(tmp, securefs.Options{Key: key, BufferSize: 1 << 16})
+	nf, err := securefs.Create(tmp, securefs.Options{Key: key, BufferSize: aofBufferSize})
 	if err != nil {
 		return err
 	}
@@ -164,22 +171,20 @@ func (s *Store) backgroundRewrite() error {
 		return err
 	}
 	// Snapshot stripe by stripe: copy the (key, value, deadline) triples
-	// out under the stripe's shared lock — readers proceed concurrently,
-	// writers to this stripe wait only for the copy-out — then encode and
-	// append with no lock held. Expired-but-unreaped keys are kept, like
-	// the foreground snapshot, so replay state is identical either way.
+	// out under the stripe's read lock, then encode and append with no
+	// lock held. Expired-but-unreaped keys are kept: they replay and
+	// expire again by their own deadline, like the log they replace.
 	var buf []byte
 	var snap []kv
 	for i := range s.stripes {
 		st := &s.stripes[i]
-		st.reads.Add(1)
-		st.mu.RLock()
+		s.rlock(st)
 		snap = snap[:0]
 		for _, k := range st.keySlice {
 			e := st.dict[k]
 			snap = append(snap, kv{k, e.value, e.expireAt})
 		}
-		st.mu.RUnlock()
+		s.runlock(st)
 		for _, item := range snap {
 			if item.expireAt.IsZero() {
 				buf = encodeCommand(buf, opSet, item.key, item.value)

@@ -21,8 +21,8 @@ import (
 // and a background rewrite racing live traffic must leave a log that
 // replays to the exact live state.
 
-// bothProfiles runs fn against the legacy single-mutex profile and the
-// striped staged-AOF profile.
+// bothProfiles runs fn against the Redis-faithful profile (Striping 0:
+// exclusive reads, Direct AOF) and the striped staged-AOF profile.
 func bothProfiles(t *testing.T, fn func(t *testing.T, stripes int)) {
 	for _, stripes := range []int{0, 4} {
 		name := "legacy"
@@ -213,11 +213,18 @@ func equalStrings(a, b []string) bool {
 
 // TestRewriteConcurrentStress races writers, readers and background
 // rewrites, then proves the surviving AOF replays to the exact live
-// state. Run with -race this also exercises the divert-buffer and swap
-// synchronization.
+// state — with staged writes (Striping 8) and with Direct writes under an
+// exclusive lock (Striping 0). Run with -race this also exercises the
+// divert-buffer and swap synchronization.
 func TestRewriteConcurrentStress(t *testing.T) {
+	for _, stripes := range []int{0, 8} {
+		t.Run(fmt.Sprintf("striping=%d", stripes), func(t *testing.T) { rewriteConcurrentStress(t, stripes) })
+	}
+}
+
+func rewriteConcurrentStress(t *testing.T, stripes int) {
 	path := filepath.Join(t.TempDir(), "stress.aof")
-	s, err := Open(Config{AOFPath: path, Striping: 8, Clock: clock.NewReal()})
+	s, err := Open(Config{AOFPath: path, Striping: stripes, Clock: clock.NewReal()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +289,7 @@ func TestRewriteConcurrentStress(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Open(Config{AOFPath: path, Striping: 8})
+	s2, err := Open(Config{AOFPath: path, Striping: stripes})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/gdpr"
 	"repro/internal/securefs"
 )
 
@@ -179,5 +180,68 @@ func TestStripedReadersShareTheLock(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("reads blocked behind a shared lock holder — the striped read path is not taking RLock")
+	}
+}
+
+// TestSelectorFnLockHold pins where the selector scans run fn. At
+// Striping = 0 the store stays exclusively locked until fn is done —
+// predicate evaluation is part of the serialized command, the Figure 7b
+// cost model — and the lock is free again on every way out (full walk,
+// early stop, unindexed dimension). With Striping > 0 fn runs over the
+// copy-out with no stripe lock held.
+func TestSelectorFnLockHold(t *testing.T) {
+	for _, striping := range []int{0, 4} {
+		t.Run(fmt.Sprintf("striping=%d", striping), func(t *testing.T) {
+			s, err := Open(Config{Striping: striping, MetadataIndexing: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			for i := 0; i < 32; i++ {
+				key := fmt.Sprintf("k%02d", i)
+				rec := gdpr.Record{Key: key, Data: "d", Meta: gdpr.Metadata{User: "u1"}}
+				if err := s.Set(key, gdpr.Encode(rec)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			free := func() bool {
+				for i := range s.stripes {
+					if !s.stripes[i].mu.TryLock() {
+						return false
+					}
+					s.stripes[i].mu.Unlock()
+				}
+				return true
+			}
+			for _, stop := range []bool{false, true} {
+				visits := 0
+				visit := func(string, string, time.Time) bool {
+					visits++
+					if got, want := free(), striping > 0; got != want {
+						t.Errorf("stripe locks free inside fn = %v, want %v", got, want)
+					}
+					return !stop
+				}
+				s.ForEach(visit)
+				if !free() {
+					t.Fatalf("ForEach(stop=%v) left a stripe locked", stop)
+				}
+				if !s.IndexedForEach(gdpr.AttrUser, "u1", visit) {
+					t.Fatal("IndexedForEach: USR is an indexed dimension")
+				}
+				if !free() {
+					t.Fatalf("IndexedForEach(stop=%v) left a stripe locked", stop)
+				}
+				if want := map[bool]int{false: 64, true: 2}[stop]; visits != want {
+					t.Fatalf("stop=%v: fn ran %d times, want %d", stop, visits, want)
+				}
+			}
+			if s.IndexedForEach(gdpr.AttrData, "d", func(string, string, time.Time) bool { return true }) {
+				t.Fatal("IndexedForEach: DATA is not an indexed dimension")
+			}
+			if !free() {
+				t.Fatal("IndexedForEach on an unindexed dimension left a stripe locked")
+			}
+		})
 	}
 }

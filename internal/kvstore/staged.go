@@ -9,17 +9,18 @@ import (
 	"repro/internal/securefs"
 )
 
-// The striped profile's AOF rides internal/logpipe: a command stages its
-// op while still holding the mutated key's stripe lock (FLUSHALL: every
-// stripe lock), so for any key AOF order equals apply order, and the
-// pipe's writer goroutine batch-encodes the ops into the frames the
-// inline profile would have written. appendfsync maps onto the pipe's
-// wait depth and flush policy (pipeModes). Command writes hold a
-// backpressure slot, reserved before their stripe lock; read logging and
-// expiry-cycle DELs stage without one (bounded by their own budgets) so
-// they never park inside the hot path. This file keeps what is
-// AOF-specific: the frame encoding, the file and its IO lock, and the
-// rewrite divert buffer (rewrite.go).
+// The AOF rides internal/logpipe: a command hands over its op while still
+// holding the mutated key's stripe lock (FLUSHALL: every stripe lock), so
+// for any key AOF order equals apply order. Store.stage picks who runs
+// this file's sink — the caller through Direct (Striping = 0) or the
+// pipe's writer goroutine, batching, through Stage — and appendfsync maps
+// onto the pipe's wait depth and flush policy (pipeModes); either way the
+// pipe's clock-driven idle flush syncs a log that went quiet under
+// everysec. Staged command writes hold a backpressure slot, reserved
+// before their stripe lock; read logging and expiry-cycle DELs stage
+// without one (bounded by their own budgets) so they never park inside
+// the hot path. This file keeps what is AOF-specific: the frame encoding,
+// the file and its IO lock, and the rewrite divert buffer (rewrite.go).
 
 // stagedOp is one parked AOF command: the op tag plus its operands.
 // Reads carry their logged operand in key.
@@ -30,10 +31,13 @@ type stagedOp struct {
 	ns    int64
 }
 
-// aofPipe is the staged AOF: the logpipe sink plus the file state
-// rewrites swap underneath it.
+// aofPipe is the AOF: the logpipe sink plus the file state rewrites swap
+// underneath it.
 type aofPipe struct {
-	log       *logpipe.Pipe[stagedOp]
+	log *logpipe.Pipe[stagedOp]
+	// direct says the pipe is fed through log.Direct (Striping = 0): the
+	// caller runs Write, one op at a time.
+	direct    bool
 	policy    FsyncPolicy
 	clk       clock.Clock
 	encrypted bool
@@ -48,7 +52,7 @@ type aofPipe struct {
 	// rewrite swap, Close) — never held while waiting on producers.
 	fileMu sync.Mutex
 	file   *securefs.File
-	buf    []byte // writer-only encode buffer
+	buf    []byte // encode buffer, used inside Write
 	// Divert state (guarded by fileMu): while a background rewrite is
 	// streaming its snapshot, every frame appended to the live file is
 	// also copied here (uvarint length + bytes) and replayed onto the new
@@ -61,7 +65,8 @@ type aofPipe struct {
 }
 
 // pipeModes maps appendfsync onto logpipe: `always` callers wait for the
-// group fsync covering their op; everysec and no return once staged.
+// group fsync covering their op (Direct: run it themselves); everysec and
+// no return once staged (Direct: once written).
 func pipeModes(policy FsyncPolicy) (logpipe.Wait, logpipe.Flush) {
 	switch policy {
 	case FsyncAlways:
@@ -73,25 +78,35 @@ func pipeModes(policy FsyncPolicy) (logpipe.Wait, logpipe.Flush) {
 	}
 }
 
-func openPipe(path string, key []byte, policy FsyncPolicy, clk clock.Clock) (*aofPipe, error) {
-	// A larger buffer than the inline profile's: frames reach the OS per
-	// group commit, not per command.
-	f, err := securefs.Append(path, securefs.Options{Key: key, BufferSize: 1 << 16})
+// The live AOF's userspace write buffer: frames reach the OS when it
+// fills or on the next policy / idle / explicit Sync. A group-committing
+// writer batches through 64 KiB; Direct writes keep it at 1 KiB, so AOF
+// bytes reach the OS every few dozen commands, like Redis flushing
+// aof_buf each event-loop iteration — under `appendfsync no` nothing else
+// would ever push an acknowledged DEL out of the process.
+const (
+	aofBufferSize       = 1 << 16
+	aofDirectBufferSize = 1 << 10
+)
+
+// fileOptions are the live AOF's open options (also after a rewrite swap).
+func (p *aofPipe) fileOptions(key []byte) securefs.Options {
+	if p.direct {
+		return securefs.Options{Key: key, BufferSize: aofDirectBufferSize}
+	}
+	return securefs.Options{Key: key, BufferSize: aofBufferSize}
+}
+
+func openPipe(path string, key []byte, policy FsyncPolicy, clk clock.Clock, direct bool) (*aofPipe, error) {
+	p := &aofPipe{direct: direct, policy: policy, clk: clk, encrypted: key != nil, path: path}
+	f, err := securefs.Append(path, p.fileOptions(key))
 	if err != nil {
 		return nil, err
 	}
-	p := &aofPipe{policy: policy, clk: clk, encrypted: key != nil, path: path, file: f}
+	p.file = f
 	wait, flush := pipeModes(policy)
 	p.log = logpipe.New[stagedOp](p, logpipe.Spec[stagedOp]{Wait: wait, Flush: flush, Clock: clk})
 	return p, nil
-}
-
-// stage queues op for the writer and returns its sequence. Write callers
-// hold their data-stripe lock and a reserved slot; reads and expiry DELs
-// pass slotted=false.
-func (p *aofPipe) stage(op stagedOp, slotted bool) (uint64, error) {
-	_, seq, err := p.log.Stage(op, slotted)
-	return seq, err
 }
 
 // sizeBarrier barriers and reports the AOF's on-disk size.
@@ -123,8 +138,7 @@ func (p *aofPipe) close() error {
 	return cerr
 }
 
-// encodeOp renders one staged op as the frame the inline profile would
-// have written — the two persistence paths are byte-compatible.
+// encodeOp renders one staged op as its AOF frame (grammar in aof.go).
 func (p *aofPipe) encodeOp(op stagedOp) []byte {
 	switch op.op {
 	case opSet:
@@ -159,7 +173,10 @@ func (p *aofPipe) Write(batch []stagedOp) error {
 			p.divertOps++
 		}
 	}
-	obsAOFBatchOps.Observe(int64(len(batch)))
+	if !p.direct {
+		// Group-commit batch sizes; a Direct write is always a batch of one.
+		obsAOFBatchOps.Observe(int64(len(batch)))
+	}
 	return nil
 }
 

@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,13 +12,14 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/securefs"
 )
 
 // These tests pin the striped profile (Config.Striping > 0) to the
-// single-mutex baseline: same observable state, byte-identical AOF for a
-// sequential command stream, cross-profile replay in both directions, and
-// race-free behavior under concurrent commands, expiry cycles and
-// rewrites.
+// Redis-faithful one (Striping = 0: exclusive reads, AOF written by the
+// caller): same observable state, byte-identical AOF for a sequential
+// command stream, cross-profile replay in both directions, and race-free
+// behavior under concurrent commands, expiry cycles and rewrites.
 
 // snapshot flattens a store's live contents into sorted key=value|deadline
 // lines for cross-profile comparison.
@@ -111,12 +113,19 @@ func TestStripedMatchesLegacyState(t *testing.T) {
 	}
 }
 
+// aofGoldenSHA256 is the SHA-256 of the unencrypted AOF that
+// TestStripedAOFByteIdentical's command stream produced through the
+// pre-PR-15 inline appender (a second encoder, since deleted). Both
+// profiles now share one encoder, so comparing them with each other no
+// longer catches frame-format drift; this constant does.
+const aofGoldenSHA256 = "978e2f023ac047db7cc0297a05eafdc7caa0466d43ed22f6d2ea875219af89f1"
+
 // TestStripedAOFByteIdentical: for one sequential command stream, the
-// staged pipeline must produce the exact bytes the inline profile writes
-// — the two persistence paths are interchangeable on disk. The stream
-// avoids expiry cycles: strict-cycle victims come out of a randomized map
-// walk, so their DEL order is not byte-stable even between two legacy
-// runs.
+// staged pipeline must produce the exact bytes the Direct profile writes
+// — the two write modes are interchangeable on disk — and both must
+// match the golden hash. The stream avoids expiry cycles: strict-cycle
+// victims come out of a randomized map walk, so their DEL order is not
+// byte-stable even between two runs of one profile.
 func TestStripedAOFByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	pathA := filepath.Join(dir, "legacy.aof")
@@ -182,6 +191,11 @@ func TestStripedAOFByteIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(a, b) {
 		t.Fatalf("AOF bytes diverged: legacy %d bytes, striped %d bytes", len(a), len(b))
+	}
+	for name, file := range map[string][]byte{"striping=0": a, "striping=8": b} {
+		if got := fmt.Sprintf("%x", sha256.Sum256(file)); got != aofGoldenSHA256 {
+			t.Errorf("%s: AOF frame format drifted: sha256 %s, want %s", name, got, aofGoldenSHA256)
+		}
 	}
 }
 
@@ -487,41 +501,109 @@ func TestStripedLogReads(t *testing.T) {
 
 // TestStripedAOFFailureIsSticky: once the AOF file refuses a frame, the
 // store stops acknowledging writes — the first error comes back from
-// every later Set, from Sync and from Close — and a background rewrite
-// refuses to swap a snapshot over a log it can no longer vouch for.
+// every later mutating command, from Sync and from Close — and a rewrite
+// refuses to swap a snapshot over a log it can no longer vouch for. Del
+// is the sharp case: an erasure whose DEL frame did not reach the log
+// must not be acknowledged.
 func TestStripedAOFFailureIsSticky(t *testing.T) {
-	for _, policy := range []FsyncPolicy{FsyncAlways, FsyncEverySec} {
-		path := filepath.Join(t.TempDir(), "broken.aof")
-		s, err := Open(Config{AOFPath: path, AOFSync: policy, Striping: 4})
-		if err != nil {
-			t.Fatal(err)
+	keep := func(v string, at time.Time) (string, time.Time, error) { return v, at, nil }
+	ops := []struct {
+		name string
+		run  func(s *Store) error
+	}{
+		{"Set", func(s *Store) error { return s.Set("after", "v") }},
+		{"Update", func(s *Store) error { _, err := s.Update("before", keep); return err }},
+		{"ExpireAt", func(s *Store) error { _, err := s.ExpireAt("before", time.Now().Add(time.Hour)); return err }},
+		{"Persist", func(s *Store) error { _, err := s.Persist("ttl"); return err }},
+		{"Del", func(s *Store) error { _, err := s.Del("before"); return err }},
+		{"FlushAll", func(s *Store) error { return s.FlushAll() }},
+		{"Sync", func(s *Store) error { return s.Sync() }},
+		{"Rewrite", func(s *Store) error { return s.Rewrite() }},
+		{"Close", func(s *Store) error { return s.Close() }},
+	}
+	for _, stripes := range []int{0, 4} {
+		for _, policy := range []FsyncPolicy{FsyncAlways, FsyncEverySec} {
+			t.Run(fmt.Sprintf("striping=%d/%v", stripes, policy), func(t *testing.T) {
+				path := filepath.Join(t.TempDir(), "broken.aof")
+				s, err := Open(Config{AOFPath: path, AOFSync: policy, Striping: stripes})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Set("before", "v"); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.SetWithExpiry("ttl", "v", time.Now().Add(time.Hour)); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Sync(); err != nil {
+					t.Fatal(err)
+				}
+				// Sabotage: close the file under the pipe, so the next frame fails.
+				s.pipe.fileMu.Lock()
+				s.pipe.file.Close()
+				s.pipe.fileMu.Unlock()
+				_ = s.Set("lost", "v") // everysec returns before the failure shows
+				first := s.Sync()
+				if first == nil {
+					t.Fatal("Sync after a failed AOF write should error")
+				}
+				for _, op := range ops {
+					if err := op.run(s); err != first {
+						t.Errorf("%s after failure = %v, want %v", op.name, err, first)
+					}
+					if _, err := os.Stat(path + ".rewrite"); !os.IsNotExist(err) {
+						t.Fatalf("%s: refused rewrite left its tmp file behind (stat err %v)", op.name, err)
+					}
+				}
+			})
 		}
-		if err := s.Set("before", "v"); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Sync(); err != nil {
-			t.Fatal(err)
-		}
-		// Sabotage: close the file under the pipe, so the next frame fails.
-		s.pipe.fileMu.Lock()
-		s.pipe.file.Close()
-		s.pipe.fileMu.Unlock()
-		_ = s.Set("lost", "v") // everysec returns before the writer fails
-		first := s.Sync()
-		if first == nil {
-			t.Fatalf("%v: Sync after a failed AOF write should error", policy)
-		}
-		if err := s.Set("after", "v"); err != first {
-			t.Fatalf("%v: Set after failure = %v, want %v", policy, err, first)
-		}
-		if err := s.Rewrite(); err != first {
-			t.Fatalf("%v: Rewrite after failure = %v, want %v", policy, err, first)
-		}
-		if _, err := os.Stat(path + ".rewrite"); !os.IsNotExist(err) {
-			t.Fatalf("%v: refused rewrite left its tmp file behind (stat err %v)", policy, err)
-		}
-		if err := s.Close(); err != first {
-			t.Fatalf("%v: Close after failure = %v, want %v", policy, err, first)
-		}
+	}
+}
+
+// TestIdleAOFFlushEverySec: under appendfsync everysec a store that goes
+// quiet still gets its last commands — an acknowledged DEL included — out
+// of the userspace buffer and fsynced within the interval, with no
+// further command, Sync or Close to push them.
+func TestIdleAOFFlushEverySec(t *testing.T) {
+	for _, stripes := range []int{0, 4} {
+		t.Run(fmt.Sprintf("striping=%d", stripes), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "idle.aof")
+			sim := clock.NewSim(time.Unix(1_500_000_000, 0))
+			s, err := Open(Config{Clock: sim, AOFPath: path, AOFSync: FsyncEverySec, Striping: stripes})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if err := s.Set("erase-me", "pii"); err != nil {
+				t.Fatal(err)
+			}
+			if n, err := s.Del("erase-me"); n != 1 || err != nil {
+				t.Fatalf("del = %d, %v", n, err)
+			}
+			// Only the clock moves from here. The flush timer is armed
+			// asynchronously, so step a second at a time until it has fired.
+			deadline := time.Now().Add(2 * time.Second)
+			for s.Stats().AOFFlushes == 0 && time.Now().Before(deadline) {
+				sim.Advance(time.Second)
+				time.Sleep(time.Millisecond)
+			}
+			if n := s.Stats().AOFFlushes; n < 1 {
+				t.Errorf("idle AOF was never fsynced (AOFFlushes = %d)", n)
+			}
+			sawDel := false
+			err = securefs.Replay(path, securefs.Options{}, func(frame []byte) error {
+				args, err := decodeCommand(frame)
+				if err == nil && len(args) == 2 && args[0] == opDel && args[1] == "erase-me" {
+					sawDel = true
+				}
+				return err
+			})
+			if err != nil {
+				t.Fatalf("read AOF from disk: %v", err)
+			}
+			if !sawDel {
+				t.Fatal("acknowledged DEL is not in the on-disk AOF after an idle second")
+			}
+		})
 	}
 }

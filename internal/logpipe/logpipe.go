@@ -232,9 +232,12 @@ func (p *Pipe[T]) Direct(e T) (T, error) {
 	if p.stamp != nil {
 		p.stamp(p.seq, &p.one[0])
 	}
-	err := p.writeBatch(p.one[:], p.seq)
-	if p.flush == FlushEverySec {
-		p.wake() // the writer arms its idle timer only when it sees dirty bytes
+	wasClean, err := p.writeBatch(p.one[:], p.seq)
+	if wasClean && p.flush == FlushEverySec {
+		// The writer arms its idle timer when it sees dirty bytes and
+		// re-checks after every timer fire, so only the first write into a
+		// clean log has to wake it.
+		p.wake()
 	}
 	return p.one[0], err
 }
@@ -411,7 +414,7 @@ func (p *Pipe[T]) consume(spare []T) []T {
 	p.fill, p.fillSlots = spare[:0], 0
 	p.seqMu.Unlock()
 	if len(batch) > 0 && !p.failed.Load() {
-		_ = p.writeBatch(batch, last)
+		_, _ = p.writeBatch(batch, last)
 	}
 	for ; slotted > 0; slotted-- {
 		<-p.slots
@@ -421,24 +424,26 @@ func (p *Pipe[T]) consume(spare []T) []T {
 }
 
 // writeBatch hands one batch ending at sequence last to the sink,
-// publishes the written watermark and applies the flush policy.
-func (p *Pipe[T]) writeBatch(batch []T, last uint64) error {
+// publishes the written watermark and applies the flush policy. wasClean
+// reports that the log held no unsynced bytes before this batch.
+func (p *Pipe[T]) writeBatch(batch []T, last uint64) (wasClean bool, err error) {
 	if err := p.sink.Write(batch); err != nil {
 		p.Fail(err)
-		return err
+		return false, err
 	}
 	p.mu.Lock()
 	p.written = last
 	p.batches++
+	wasClean = !p.dirty
 	p.dirty = true
 	due := p.flush == FlushEachBatch ||
 		(p.flush == FlushEverySec && p.clk.Now().Sub(p.lastSync) >= FlushInterval)
 	p.mu.Unlock()
 	p.cond.Broadcast()
 	if due {
-		return p.syncTo(last)
+		return wasClean, p.syncTo(last)
 	}
-	return nil
+	return wasClean, nil
 }
 
 // syncTo syncs the sink and advances the durable watermark to target.

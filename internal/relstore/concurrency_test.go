@@ -273,47 +273,6 @@ func TestTablesLockIndependently(t *testing.T) {
 	}
 }
 
-// TestGlobalLockModeStillCorrect runs the same operations under the
-// Config.GlobalLock ablation baseline, so the benchmark's two legs share
-// one correctness bar.
-func TestGlobalLockModeStillCorrect(t *testing.T) {
-	db := openDB(t, Config{GlobalLock: true})
-	if err := db.CreateIndex("records", "usr"); err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				k := fmt.Sprintf("w%d-k%d", w, i)
-				if err := db.Insert("records", row(k, "d", fmt.Sprintf("u%d", w), time.Time{}, nil, 0)); err != nil {
-					t.Error(err)
-					return
-				}
-				if _, _, err := db.Get("records", k); err != nil {
-					t.Error(err)
-					return
-				}
-				if i%10 == 0 {
-					if _, err := db.Select("records", Eq("usr", fmt.Sprintf("u%d", w))); err != nil {
-						t.Error(err)
-						return
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if n, _ := db.Count("records"); n != 800 {
-		t.Fatalf("count = %d", n)
-	}
-	if f := db.Features(); f["locking"] != "global" {
-		t.Fatalf("locking feature = %q", f["locking"])
-	}
-}
-
 // TestInsertBatch covers the bulk-load path: one call inserts many rows,
 // errors surface mid-batch with the applied prefix kept, and the batch
 // recovers from the WAL like per-row inserts do.

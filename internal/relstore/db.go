@@ -33,11 +33,6 @@ type Config struct {
 	// retrofit: csvlog plus a row-level-security policy recording query
 	// responses).
 	LogStatements bool
-	// GlobalLock serializes every operation behind one exclusive mutex
-	// and disables snapshot reads — the engine's original contention
-	// profile, kept as an ablation baseline so the locking benchmarks can
-	// measure what table-level locking and copy-on-write snapshots buy.
-	GlobalLock bool
 	// CheckpointBytes arms automatic WAL checkpointing: once the live WAL
 	// grows past this size, a background checkpoint snapshots every table
 	// to WALPath+".ckpt" and truncates the pre-checkpoint log prefix, so
@@ -59,11 +54,9 @@ type Config struct {
 // concurrent committers batch into one fsync. Readers load the published
 // snapshot and never take a table lock at all: reads on one table run in
 // parallel with each other, with writes to that table, and with
-// everything on other tables. Config.GlobalLock restores the original
-// one-big-mutex behavior for baseline measurements.
+// everything on other tables.
 type DB struct {
 	mu     sync.RWMutex // meta lock: tables map, wal, closed, ttl fields
-	gmu    sync.Mutex   // the single big lock, used only under Config.GlobalLock
 	tables map[string]*Table
 	clk    clock.Clock
 	wal    *wal.WAL
@@ -126,40 +119,6 @@ func (db *DB) CreateTable(s Schema) error {
 	return nil
 }
 
-// lockTable acquires the write lock covering t: the table's own lock, or
-// the global mutex when Config.GlobalLock is set. It returns the release
-// function.
-func (db *DB) lockTable(t *Table) func() {
-	if db.cfg.GlobalLock {
-		db.gmu.Lock()
-		return db.gmu.Unlock
-	}
-	t.mu.Lock()
-	return t.mu.Unlock
-}
-
-// readView returns a read-only view of t: the published snapshot
-// (lock-free, never blocks behind writers), or the live view under the
-// global mutex when Config.GlobalLock is set.
-func (db *DB) readView(t *Table) (*view, func()) {
-	if db.cfg.GlobalLock {
-		db.gmu.Lock()
-		return &t.live, db.gmu.Unlock
-	}
-	return t.reader(), func() {}
-}
-
-// publish marks t's snapshot stale so the next reader refreshes it; the
-// clone itself is deferred to that reader (see Table.reader). Callers
-// hold t's write lock. Under GlobalLock snapshots are not used, so this
-// is skipped to keep the baseline's write path faithful to the original.
-func (db *DB) publish(t *Table) {
-	if db.cfg.GlobalLock {
-		return
-	}
-	t.markDirty()
-}
-
 // waitDurable blocks until the WAL record at lsn is on stable storage
 // (group commit). Called after the table lock is released so that
 // concurrent committers share one fsync.
@@ -171,18 +130,9 @@ func (db *DB) waitDurable(lsn uint64) error {
 }
 
 // commit finishes a write: release the write lock, then wait for WAL
-// durability so concurrent committers batch into one fsync. Under
-// GlobalLock the wait happens while still holding the lock — the seed's
-// original profile, where a synchronous commit stalled every other
-// operation behind the fsync — keeping the ablation baseline faithful.
-func (db *DB) commit(unlock func(), lsn uint64) error {
-	if db.cfg.GlobalLock {
-		err := db.waitDurable(lsn)
-		unlock()
-		db.maybeCheckpoint()
-		return err
-	}
-	unlock()
+// durability so concurrent committers batch into one fsync.
+func (db *DB) commit(t *Table, lsn uint64) error {
+	t.mu.Unlock()
 	err := db.waitDurable(lsn)
 	db.maybeCheckpoint()
 	return err
@@ -196,12 +146,12 @@ func (db *DB) CreateIndex(table, col string) error {
 	if err != nil {
 		return err
 	}
-	unlock := db.lockTable(t)
-	defer unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	if err := t.live.createIndex(col); err != nil {
 		return err
 	}
-	db.publish(t)
+	t.markDirty()
 	return nil
 }
 
@@ -213,12 +163,12 @@ func (db *DB) DropIndex(table, col string) error {
 	if err != nil {
 		return err
 	}
-	unlock := db.lockTable(t)
-	defer unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	if err := t.live.dropIndex(col); err != nil {
 		return err
 	}
-	db.publish(t)
+	t.markDirty()
 	return nil
 }
 
@@ -438,10 +388,10 @@ func (db *DB) writeCheckpoint(cut uint64) error {
 		// Clone under the table write lock: any writer whose record has
 		// an LSN <= cut finished its live-view mutation under this lock
 		// before we got it, so the clone reflects the whole cut prefix.
-		unlock := db.lockTable(t)
+		t.mu.Lock()
 		t.publish()
 		v := t.snap.Load()
-		unlock()
+		t.mu.Unlock()
 		var werr error
 		v.scanAll(func(pk string, row Row) bool {
 			werr = cw.Append(wal.RecInsert, wal.EncodeKV(name, pk, encodeRow(v.schema, row)))
@@ -534,9 +484,9 @@ func (db *DB) Insert(table string, row Row) error {
 	if err != nil {
 		return err
 	}
-	unlock := db.lockTable(t)
+	t.mu.Lock()
 	if err := t.live.insert(row); err != nil {
-		unlock()
+		t.mu.Unlock()
 		db.logStatement("INSERT", table, "", 0, false)
 		return err
 	}
@@ -544,13 +494,13 @@ func (db *DB) Insert(table string, row Row) error {
 	var lsn uint64
 	if db.wal != nil {
 		if lsn, err = db.wal.Append(wal.RecInsert, wal.EncodeKV(table, pk, encodeRow(t.live.schema, row))); err != nil {
-			db.publish(t)
-			unlock()
+			t.markDirty()
+			t.mu.Unlock()
 			return err
 		}
 	}
-	db.publish(t)
-	err = db.commit(unlock, lsn)
+	t.markDirty()
+	err = db.commit(t, lsn)
 	db.logStatement("INSERT", table, pk, 1, true)
 	return err
 }
@@ -570,7 +520,7 @@ func (db *DB) InsertBatch(table string, rows []Row) error {
 	if err != nil {
 		return err
 	}
-	unlock := db.lockTable(t)
+	t.mu.Lock()
 	var lsn uint64
 	n := 0
 	for _, row := range rows {
@@ -592,9 +542,9 @@ func (db *DB) InsertBatch(table string, rows []Row) error {
 		}
 	}
 	if n > 0 {
-		db.publish(t)
+		t.markDirty()
 	}
-	if werr := db.commit(unlock, lsn); err == nil {
+	if werr := db.commit(t, lsn); err == nil {
 		err = werr
 	}
 	db.logStatement("INSERT", table, fmt.Sprintf("batch=%d", len(rows)), n, err == nil)
@@ -609,9 +559,8 @@ func (db *DB) Get(table, pk string) (Row, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	v, release := db.readView(t)
+	v := t.reader()
 	row, ok := v.get(pk)
-	release()
 	n := 0
 	if ok {
 		n = 1
@@ -631,22 +580,22 @@ func (db *DB) Update(table, pk string, row Row) error {
 	if err != nil {
 		return err
 	}
-	unlock := db.lockTable(t)
+	t.mu.Lock()
 	if err := t.live.update(pk, row); err != nil {
-		unlock()
+		t.mu.Unlock()
 		db.logStatement("UPDATE", table, "pk="+pk, 0, false)
 		return err
 	}
 	var lsn uint64
 	if db.wal != nil {
 		if lsn, err = db.wal.Append(wal.RecUpdate, wal.EncodeKV(table, pk, encodeRow(t.live.schema, row))); err != nil {
-			db.publish(t)
-			unlock()
+			t.markDirty()
+			t.mu.Unlock()
 			return err
 		}
 	}
-	db.publish(t)
-	err = db.commit(unlock, lsn)
+	t.markDirty()
+	err = db.commit(t, lsn)
 	db.logStatement("UPDATE", table, "pk="+pk, 1, true)
 	return err
 }
@@ -663,32 +612,32 @@ func (db *DB) UpdateFunc(table, pk string, fn func(Row) (Row, error)) (bool, err
 	if err != nil {
 		return false, err
 	}
-	unlock := db.lockTable(t)
+	t.mu.Lock()
 	old, ok := t.live.get(pk)
 	if !ok {
-		unlock()
+		t.mu.Unlock()
 		db.logStatement("UPDATE", table, "pk="+pk, 0, true)
 		return false, nil
 	}
 	next, err := fn(old)
 	if err != nil {
-		unlock()
+		t.mu.Unlock()
 		return false, err
 	}
 	if err := t.live.update(pk, next); err != nil {
-		unlock()
+		t.mu.Unlock()
 		return false, err
 	}
 	var lsn uint64
 	if db.wal != nil {
 		if lsn, err = db.wal.Append(wal.RecUpdate, wal.EncodeKV(table, pk, encodeRow(t.live.schema, next))); err != nil {
-			db.publish(t)
-			unlock()
+			t.markDirty()
+			t.mu.Unlock()
 			return false, err
 		}
 	}
-	db.publish(t)
-	err = db.commit(unlock, lsn)
+	t.markDirty()
+	err = db.commit(t, lsn)
 	db.logStatement("UPDATE", table, "pk="+pk, 1, true)
 	return true, err
 }
@@ -704,20 +653,20 @@ func (db *DB) Delete(table, pk string) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	unlock := db.lockTable(t)
+	t.mu.Lock()
 	existed := t.live.delete(pk)
 	var lsn uint64
 	if existed && db.wal != nil {
 		if lsn, err = db.wal.Append(wal.RecDelete, wal.EncodeKV(table, pk, nil)); err != nil {
-			db.publish(t)
-			unlock()
+			t.markDirty()
+			t.mu.Unlock()
 			return existed, err
 		}
 	}
 	if existed {
-		db.publish(t)
+		t.markDirty()
 	}
-	err = db.commit(unlock, lsn)
+	err = db.commit(t, lsn)
 	n := 0
 	if existed {
 		n = 1
@@ -735,9 +684,8 @@ func (db *DB) Select(table string, pred Predicate) ([]Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	v, release := db.readView(t)
+	v := t.reader()
 	rows, _, err := v.runSelect(pred)
-	release()
 	if err != nil {
 		return nil, err
 	}
@@ -754,9 +702,8 @@ func (db *DB) SelectKeys(table string, pred Predicate) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	v, release := db.readView(t)
+	v := t.reader()
 	pks, err := v.selectKeys(pred)
-	release()
 	if err != nil {
 		return nil, err
 	}
@@ -778,10 +725,10 @@ func (db *DB) DeleteWhere(table string, pred Predicate) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	unlock := db.lockTable(t)
+	t.mu.Lock()
 	pks, err := t.live.selectKeys(pred)
 	if err != nil {
-		unlock()
+		t.mu.Unlock()
 		return 0, err
 	}
 	var lsn uint64
@@ -791,17 +738,17 @@ func (db *DB) DeleteWhere(table string, pred Predicate) (int, error) {
 			n++
 			if db.wal != nil {
 				if lsn, err = db.wal.Append(wal.RecDelete, wal.EncodeKV(table, pk, nil)); err != nil {
-					db.publish(t)
-					unlock()
+					t.markDirty()
+					t.mu.Unlock()
 					return n, err
 				}
 			}
 		}
 	}
 	if n > 0 {
-		db.publish(t)
+		t.markDirty()
 	}
-	err = db.commit(unlock, lsn)
+	err = db.commit(t, lsn)
 	db.logStatement("DELETE", table, pred.String(), n, true)
 	return n, err
 }
@@ -818,10 +765,10 @@ func (db *DB) UpdateWhere(table string, pred Predicate, fn func(Row) (Row, error
 	if err != nil {
 		return 0, err
 	}
-	unlock := db.lockTable(t)
+	t.mu.Lock()
 	pks, err := t.live.selectKeys(pred)
 	if err != nil {
-		unlock()
+		t.mu.Unlock()
 		return 0, err
 	}
 	var lsn uint64
@@ -833,28 +780,28 @@ func (db *DB) UpdateWhere(table string, pred Predicate, fn func(Row) (Row, error
 		}
 		next, err := fn(old)
 		if err != nil {
-			db.publish(t)
-			unlock()
+			t.markDirty()
+			t.mu.Unlock()
 			return n, err
 		}
 		if err := t.live.update(pk, next); err != nil {
-			db.publish(t)
-			unlock()
+			t.markDirty()
+			t.mu.Unlock()
 			return n, err
 		}
 		if db.wal != nil {
 			if lsn, err = db.wal.Append(wal.RecUpdate, wal.EncodeKV(table, pk, encodeRow(t.live.schema, next))); err != nil {
-				db.publish(t)
-				unlock()
+				t.markDirty()
+				t.mu.Unlock()
 				return n, err
 			}
 		}
 		n++
 	}
 	if n > 0 {
-		db.publish(t)
+		t.markDirty()
 	}
-	err = db.commit(unlock, lsn)
+	err = db.commit(t, lsn)
 	db.logStatement("UPDATE", table, pred.String(), n, true)
 	return n, err
 }
@@ -869,13 +816,12 @@ func (db *DB) ScanPK(table, start string, limit int) ([]Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	v, release := db.readView(t)
+	v := t.reader()
 	var rows []Row
 	v.scanFrom(start, func(pk string, row Row) bool {
 		rows = append(rows, row.Clone())
 		return len(rows) < limit
 	})
-	release()
 	db.logStatement("SELECT", table, fmt.Sprintf("pk>=%s limit %d", start, limit), len(rows), true)
 	return rows, nil
 }
@@ -888,8 +834,7 @@ func (db *DB) Count(table string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	v, release := db.readView(t)
-	defer release()
+	v := t.reader()
 	return v.Rows(), nil
 }
 
@@ -902,8 +847,7 @@ func (db *DB) Sizes(table string) (heap, index int64, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	v, release := db.readView(t)
-	defer release()
+	v := t.reader()
 	return v.HeapBytes(), v.IndexBytes(), nil
 }
 
@@ -929,9 +873,6 @@ func (db *DB) Features() map[string]string {
 		"log_statements": fmt.Sprintf("%v", db.cfg.LogStatements),
 		"locking":        "table+snapshot",
 	}
-	if db.cfg.GlobalLock {
-		f["locking"] = "global"
-	}
 	if db.wal != nil {
 		f["wal"] = "on"
 		f["wal_encrypted"] = fmt.Sprintf("%v", db.cfg.EncryptionKey != nil)
@@ -942,11 +883,10 @@ func (db *DB) Features() map[string]string {
 	}
 	var idx []string
 	for name, t := range db.tables {
-		v, release := db.readView(t)
+		v := t.reader()
 		for _, c := range v.IndexedColumns() {
 			idx = append(idx, name+"."+c)
 		}
-		release()
 	}
 	sort.Strings(idx)
 	f["indexes"] = fmt.Sprintf("%v", idx)

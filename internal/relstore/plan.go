@@ -83,8 +83,7 @@ func (db *DB) Explain(table string, pred Predicate) (Plan, error) {
 	if err != nil {
 		return Plan{}, err
 	}
-	v, release := db.readView(t)
-	defer release()
+	v := t.reader()
 	return v.plan(pred), nil
 }
 

@@ -24,8 +24,7 @@ func (db *DB) SelectChunk(table string, pred Predicate, after string, limit int)
 	if err != nil {
 		return nil, err
 	}
-	v, release := db.readView(t)
-	defer release()
+	v := t.reader()
 	if err := v.checkPredicate(pred); err != nil {
 		return nil, err
 	}

@@ -142,8 +142,8 @@ func OpenPostgres(shards int, cfg core.PostgresConfig) (core.DB, error) {
 // Open dispatches on the engine model name ("redis" | "postgres")
 // shared by the CLIs and experiments. policy selects the audit append
 // pipeline (core's -auditpolicy spectrum); kvstripes selects the
-// kvstore concurrency profile (0 = single-mutex baseline, ignored by
-// the postgres model); tun arms the background log-compaction triggers
+// kvstore concurrency profile (0 = Redis-faithful exclusive profile,
+// ignored by the postgres model); tun arms the background log-compaction triggers
 // (AOF rewrite, WAL checkpoint, audit retention — zero disables all).
 func Open(engine string, shards int, dir string, comp core.Compliance, clk clock.Clock, disableDaemons bool, policy audit.Pipeline, kvstripes int, tun core.Tuning) (core.DB, error) {
 	switch engine {
