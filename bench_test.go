@@ -32,6 +32,7 @@ import (
 	"repro/internal/relstore"
 	"repro/internal/remote"
 	"repro/internal/server"
+	"repro/internal/shard"
 	"repro/internal/wal"
 	"repro/internal/wire"
 )
@@ -245,22 +246,10 @@ func BenchmarkFig12AuditPipeline(b *testing.B) {
 func benchAuditOps(b *testing.B, engine string, policy AuditPolicy, threads int) {
 	b.Helper()
 	comp := core.Compliance{AccessControl: true, Strict: true, Logging: true}
-	var db DB
-	var err error
-	switch engine {
-	case "redis":
-		db, err = OpenRedis(RedisConfig{
-			Dir: b.TempDir(), Compliance: comp, DisableBackgroundExpiry: true,
-			AuditPolicy: policy, AuditSyncAlways: true,
-		})
-	case "postgres":
-		db, err = OpenPostgres(PostgresConfig{
-			Dir: b.TempDir(), Compliance: comp, DisableTTLDaemon: true,
-			AuditPolicy: policy, AuditSyncAlways: true,
-		})
-	default:
-		b.Fatalf("unknown engine %q", engine)
-	}
+	db, err := OpenEngine(Options{
+		Engine: engine, Dir: b.TempDir(), Compliance: comp, DisableDaemons: true,
+		AuditPolicy: policy, AuditSyncAlways: true,
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -345,7 +334,9 @@ func BenchmarkAuditPipeline(b *testing.B) {
 func benchShardedScan(b *testing.B, engine string, shards, threads int) {
 	b.Helper()
 	comp := core.Compliance{AccessControl: true, Strict: true}
-	db, err := OpenSharded(engine, shards, "", comp, nil, true, AuditSync, 0, Tuning{})
+	db, err := shard.Open(core.Options{
+		Engine: engine, Shards: shards, Compliance: comp, DisableDaemons: true, AuditPolicy: AuditSync,
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -424,7 +415,7 @@ func BenchmarkSharding(b *testing.B) {
 func benchNetworkPointReads(b *testing.B, engine string, overTCP bool, threads int) {
 	b.Helper()
 	comp := core.Compliance{AccessControl: true, Strict: true}
-	host, err := OpenEngine(engine, 1, "", comp, nil, true, AuditSync, 0, Tuning{})
+	host, err := OpenEngine(Options{Engine: engine, Shards: 1, Compliance: comp, DisableDaemons: true, AuditPolicy: AuditSync})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -520,7 +511,7 @@ func BenchmarkNetworkOverhead(b *testing.B) {
 func benchMetadataReads(b *testing.B, engine string, records int, indexed bool) {
 	b.Helper()
 	comp := core.Compliance{AccessControl: true, Strict: true, MetadataIndexing: indexed}
-	db, err := OpenEngine(engine, 1, "", comp, nil, true, AuditSync, 0, Tuning{})
+	db, err := OpenEngine(Options{Engine: engine, Shards: 1, Compliance: comp, DisableDaemons: true, AuditPolicy: AuditSync})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -970,18 +961,20 @@ func BenchmarkAblationIndexes(b *testing.B) {
 		cols := sets[name]
 		b.Run(name, func(b *testing.B) {
 			sim := clock.NewSim(time.Time{})
-			client, err := core.OpenPostgres(core.PostgresConfig{
-				Clock: sim, DisableTTLDaemon: true,
-			})
+			eng, err := core.NewPostgresEngine(core.PostgresConfig{Clock: sim, DisableDaemons: true}, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, col := range cols {
+				if err := eng.(interface{ DB() *relstore.DB }).DB().CreateIndex(core.RecordsTable, col); err != nil {
+					b.Fatal(err)
+				}
+			}
+			client, err := core.Wrap(eng, core.WrapConfig{Clock: sim})
 			if err != nil {
 				b.Fatal(err)
 			}
 			defer client.Close()
-			for _, col := range cols {
-				if err := client.DB().CreateIndex(core.RecordsTable, col); err != nil {
-					b.Fatal(err)
-				}
-			}
 			ds := core.NewDataset(core.Config{Records: 1 << 30, Seed: 1}, sim.Now())
 			actor := core.ControllerActor()
 			b.ReportAllocs()
@@ -1007,9 +1000,9 @@ func BenchmarkAblationTransit(b *testing.B) {
 			comp.EncryptInTransit = true
 		}
 		b.Run(name, func(b *testing.B) {
-			client, err := core.OpenRedis(core.RedisConfig{
-				Clock: sim, Compliance: comp, DisableBackgroundExpiry: true,
-			})
+			client, err := core.Open(core.Options{
+				Engine: "redis", Clock: sim, Compliance: comp, DisableDaemons: true,
+			}, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -1036,11 +1029,11 @@ func BenchmarkAblationTransit(b *testing.B) {
 // on the compliant Redis-model engine (the per-query view behind Fig 5a).
 func BenchmarkGDPRQueryLatencies(b *testing.B) {
 	sim := clock.NewSim(time.Time{})
-	client, err := core.OpenRedis(core.RedisConfig{
-		Dir: b.TempDir(), Clock: sim,
-		Compliance:              core.Compliance{Logging: true, AccessControl: true, Strict: true},
-		DisableBackgroundExpiry: true,
-	})
+	client, err := core.Open(core.Options{
+		Engine: "redis", Dir: b.TempDir(), Clock: sim,
+		Compliance:     core.Compliance{Logging: true, AccessControl: true, Strict: true},
+		DisableDaemons: true,
+	}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -1116,7 +1109,7 @@ func benchObsOverheadMix(b *testing.B, sampling int) {
 	}()
 
 	comp := core.Compliance{AccessControl: true, Strict: true}
-	db, err := OpenEngine("redis", 1, "", comp, nil, true, AuditSync, 0, Tuning{})
+	db, err := OpenEngine(Options{Engine: "redis", Shards: 1, Compliance: comp, DisableDaemons: true, AuditPolicy: AuditSync})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -1189,8 +1182,8 @@ func BenchmarkObsOverhead(b *testing.B) {
 func benchStreamingExport(b *testing.B, overTCP, streamed bool) {
 	b.Helper()
 	comp := core.Compliance{AccessControl: true, MetadataIndexing: true}
-	host, err := OpenRedis(RedisConfig{
-		Dir: b.TempDir(), Compliance: comp, KVStripes: 4, DisableBackgroundExpiry: true,
+	host, err := OpenEngine(Options{
+		Engine: "redis", Dir: b.TempDir(), Compliance: comp, KVStripes: 4, DisableDaemons: true,
 	})
 	if err != nil {
 		b.Fatal(err)

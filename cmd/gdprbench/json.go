@@ -166,7 +166,7 @@ func auditBlock(db gdprbench.DB, opts options) *jsonAudit {
 			return nil
 		}
 		return &jsonAudit{
-			Policy:        opts.auditPolicy.String(),
+			Policy:        opts.store.AuditPolicy.String(),
 			Entries:       s.Appended,
 			Bytes:         s.Bytes,
 			Batches:       s.Batches,
@@ -265,7 +265,7 @@ func writeJSONReport(path string, opts options, label string, db gdprbench.DB, l
 		Records:           opts.records,
 		Operations:        opts.ops,
 		Threads:           opts.threads,
-		Shards:            opts.shards,
+		Shards:            opts.store.Shards,
 		Connect:           opts.connect,
 		OpenLoop:          opts.arrivalRate > 0,
 		ArrivalRate:       opts.arrivalRate,

@@ -41,18 +41,14 @@ import (
 )
 
 type options struct {
-	engine      string
+	store       gdprbench.Options // the ten engine flags (core.RegisterFlags)
 	records     int
 	ops         int
 	threads     int
 	dataSize    int
-	shards      int
 	seed        int64
-	dir         string
 	workloads   string
 	secondary   *gdprbench.Dist
-	indexed     bool
-	baseline    bool
 	validate    bool
 	serve       string
 	frozen      bool
@@ -60,9 +56,6 @@ type options struct {
 	token       string
 	jsonPath    string
 	arrivalRate float64
-	auditPolicy gdprbench.AuditPolicy
-	kvstripes   int
-	tuning      gdprbench.Tuning
 	slowlog     time.Duration
 	cpuProfile  string
 	memProfile  string
@@ -71,13 +64,9 @@ type options struct {
 // engineFlags are meaningless with -connect (the server owns the
 // engine); benchFlags are meaningless with -serve (a server runs no
 // workloads). Naming each set keeps the rejection messages exact
-// instead of silently dropping misplaced flags.
-var engineFlags = map[string]bool{
-	"engine": true, "shards": true, "index": true, "baseline": true, "dir": true,
-	"auditpolicy": true, "kvstripes": true,
-	"aofrewrite-pct": true, "walcheckpoint": true, "auditretain": true,
-	"slowlog-threshold": true,
-}
+// instead of silently dropping misplaced flags. main adds every flag
+// core.RegisterFlags declares to engineFlags.
+var engineFlags = map[string]bool{"slowlog-threshold": true}
 
 var benchFlags = map[string]bool{
 	"records": true, "ops": true, "threads": true, "datasize": true, "seed": true,
@@ -86,19 +75,16 @@ var benchFlags = map[string]bool{
 }
 
 func main() {
+	engineOpts := core.RegisterFlags(flag.CommandLine)
+	flag.VisitAll(func(f *flag.Flag) { engineFlags[f.Name] = true }) // nothing else is declared yet
 	var (
-		engine    = flag.String("engine", "redis", "engine: redis | postgres")
 		records   = flag.Int("records", 10_000, "personal-data records to load")
 		ops       = flag.Int("ops", 2_000, "operations per workload")
 		threads   = flag.Int("threads", 8, "client threads")
 		dataSize  = flag.Int("datasize", 10, "personal-data payload bytes per record")
 		seed      = flag.Int64("seed", 1, "random seed")
-		dir       = flag.String("dir", "", "data directory (default: a temp dir)")
 		workloads = flag.String("workloads", "controller,customer,processor,regulator", "comma-separated workloads")
-		indexed   = flag.Bool("index", false, "build secondary indexes on all metadata fields (postgres: per-column B-trees; redis: inverted metadata + ordered expiry indexes)")
-		baseline  = flag.Bool("baseline", false, "disable all compliance features (no-security baseline)")
 		validate  = flag.Bool("validate", false, "run the single-threaded correctness pass instead of the timed run")
-		shards    = flag.Int("shards", 1, "hash-partition the engine into N shards (scatter-gather attribute queries)")
 		secondary = flag.String("secondarydist", "", "override the minority-query attribute distribution for timed runs: uniform | zipf (default: each workload's Table 2a distribution)")
 		serve     = flag.String("serve", "", "serve the configured engine on this TCP address instead of running workloads")
 		frozen    = flag.Bool("frozenclock", false, "with -serve: run engines on a simulated clock frozen at the epoch with expiry daemons off (required for -connect -validate clients)")
@@ -106,11 +92,6 @@ func main() {
 		token     = flag.String("token", "", "auth token for -serve / -connect")
 		jsonPath  = flag.String("json", "", "write machine-readable results (per-workload completion, ops/s, per-op p50/p95/p99) to this file")
 		arrival   = flag.Float64("arrival-rate", 0, "open-loop mode: issue operations on a fixed schedule at this many ops/sec per workload, measuring latency from each operation's scheduled arrival (coordinated-omission-free); 0 = closed loop")
-		auditPol  = flag.String("auditpolicy", gdprbench.DefaultAuditPolicy.String(), "audit append pipeline: sync (inline, the legacy baseline) | batched (group-committed, callers wait) | async (fire-and-forget, bounded-queue backpressure)")
-		kvstripes = flag.Int("kvstripes", 0, "redis engine: N hash stripes per kvstore with shared-lock reads and a staged group-commit AOF (0 = the Redis-faithful profile: one stripe, every command exclusive, AOF written on the command path)")
-		aofPct    = flag.Int("aofrewrite-pct", 0, "redis engine: background-rewrite the AOF once it grows this percent past its post-rewrite size (Redis auto-aof-rewrite-percentage; 100 = rewrite at 2x, 0 = never)")
-		walCkpt   = flag.Int64("walcheckpoint", 0, "postgres engine: checkpoint and truncate the WAL once it exceeds this many bytes (0 = never)")
-		auditKeep = flag.Duration("auditretain", 0, "compact audit-trail segments older than this window, e.g. 720h (0 = keep all history)")
 		slowlog   = flag.Duration("slowlog-threshold", 0, "record every operation at least this slow in the slowlog with per-phase latency attribution, reported in -json (e.g. 10ms; 0 = off); with -connect, set it on the server instead")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 		memProf   = flag.String("memprofile", "", "write a heap/allocation profile to this file when the run ends")
@@ -122,27 +103,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, "gdprbench:", err)
 		os.Exit(1)
 	}
-	policy, err := gdprbench.ParseAuditPolicy(*auditPol)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "gdprbench:", err)
-		os.Exit(1)
-	}
 	opts := options{
-		engine: *engine, records: *records, ops: *ops, threads: *threads,
-		dataSize: *dataSize, shards: *shards, seed: *seed, dir: *dir,
-		workloads: *workloads, secondary: secondaryDist,
-		indexed: *indexed, baseline: *baseline, validate: *validate,
+		records: *records, ops: *ops, threads: *threads,
+		dataSize: *dataSize, seed: *seed,
+		workloads: *workloads, secondary: secondaryDist, validate: *validate,
 		serve: *serve, frozen: *frozen, connect: *connect, token: *token, jsonPath: *jsonPath,
-		arrivalRate: *arrival,
-		auditPolicy: policy, kvstripes: *kvstripes, slowlog: *slowlog,
-		tuning: gdprbench.Tuning{
-			AOFRewritePct:      *aofPct,
-			WALCheckpointBytes: *walCkpt,
-			AuditRetention:     *auditKeep,
-		},
+		arrivalRate: *arrival, slowlog: *slowlog,
 		cpuProfile: *cpuProf, memProfile: *memProf,
 	}
-	if err := run(opts); err != nil {
+	if err := run(opts, engineOpts); err != nil {
 		fmt.Fprintln(os.Stderr, "gdprbench:", err)
 		os.Exit(1)
 	}
@@ -165,7 +134,7 @@ func parseDist(s string) (*gdprbench.Dist, error) {
 	}
 }
 
-func run(opts options) error {
+func run(opts options, engineOpts func() (gdprbench.Options, error)) error {
 	if opts.serve != "" && opts.connect != "" {
 		return fmt.Errorf("-serve and -connect are mutually exclusive")
 	}
@@ -194,23 +163,9 @@ func run(opts options) error {
 	if opts.frozen && opts.serve == "" {
 		return fmt.Errorf("-frozenclock only applies to -serve")
 	}
-	if opts.shards < 1 {
-		return fmt.Errorf("-shards must be >= 1")
-	}
-	if opts.kvstripes < 0 {
-		return fmt.Errorf("-kvstripes must be >= 0")
-	}
-	if opts.kvstripes > 0 && opts.engine != "redis" {
-		return fmt.Errorf("-kvstripes applies to the redis engine only")
-	}
-	if opts.tuning.AOFRewritePct < 0 || opts.tuning.WALCheckpointBytes < 0 || opts.tuning.AuditRetention < 0 {
-		return fmt.Errorf("-aofrewrite-pct, -walcheckpoint and -auditretain must be >= 0")
-	}
-	if opts.tuning.AOFRewritePct > 0 && opts.engine != "redis" {
-		return fmt.Errorf("-aofrewrite-pct applies to the redis engine only")
-	}
-	if opts.tuning.WALCheckpointBytes > 0 && opts.engine != "postgres" {
-		return fmt.Errorf("-walcheckpoint applies to the postgres engine only")
+	var err error
+	if opts.store, err = engineOpts(); err != nil {
+		return err
 	}
 	if opts.slowlog < 0 {
 		return fmt.Errorf("-slowlog-threshold must be >= 0")
@@ -221,24 +176,17 @@ func run(opts options) error {
 	// Arm the process-wide registry before any engine opens: embedded
 	// runs and -serve both report there.
 	obs.Default().SetSlowlogThreshold(opts.slowlog)
-	comp := gdprbench.FullCompliance()
-	if opts.baseline {
-		comp = gdprbench.NoCompliance()
-	}
-	comp.MetadataIndexing = opts.indexed
-
 	if opts.serve != "" {
 		// The one serve bootstrap shared with cmd/gdprserver (temp-dir
 		// handling, frozen clock, drain on SIGINT/SIGTERM).
-		return gdprbench.ServeEngine(opts.serve, opts.engine, opts.shards, opts.dir, opts.token, comp, opts.frozen, opts.auditPolicy, opts.kvstripes, opts.tuning)
+		return gdprbench.ServeEngine(opts.serve, opts.token, opts.store, opts.frozen)
 	}
-	if opts.dir == "" {
-		var err error
-		opts.dir, err = os.MkdirTemp("", "gdprbench-*")
+	if opts.store.Dir == "" {
+		opts.store.Dir, err = os.MkdirTemp("", "gdprbench-*")
 		if err != nil {
 			return err
 		}
-		defer os.RemoveAll(opts.dir)
+		defer os.RemoveAll(opts.store.Dir)
 	}
 
 	cfg := gdprbench.Config{
@@ -259,9 +207,9 @@ func run(opts options) error {
 		return err
 	}
 	if opts.validate {
-		err = runValidate(opts, comp, cfg, names)
+		err = runValidate(opts, cfg, names)
 	} else {
-		err = runTimed(opts, comp, cfg, names)
+		err = runTimed(opts, cfg, names)
 	}
 	if perr := stopProfiles(); perr != nil && err == nil {
 		err = perr
@@ -306,22 +254,24 @@ func startProfiles(opts options) (func() error, error) {
 
 // openBench returns the DB under test: a remote client for -connect, an
 // embedded engine otherwise, plus its report label.
-func openBench(opts options, comp gdprbench.Compliance, clk clock.Clock, disableDaemons bool) (gdprbench.DB, string, error) {
+func openBench(opts options, clk clock.Clock, disableDaemons bool) (gdprbench.DB, string, error) {
 	if opts.connect != "" {
 		db, err := gdprbench.OpenRemote(gdprbench.RemoteConfig{
 			Addr: opts.connect, Token: opts.token, ConnsPerRole: max(2, opts.threads/2),
 		})
 		return db, "remote(" + opts.connect + ")", err
 	}
-	db, err := open(opts, comp, clk, disableDaemons)
-	label := opts.engine
-	if opts.shards > 1 {
-		label = fmt.Sprintf("%s x%d shards", opts.engine, opts.shards)
+	o := opts.store
+	o.Clock, o.DisableDaemons = clk, disableDaemons
+	db, err := gdprbench.OpenEngine(o)
+	label := o.Engine
+	if o.Shards > 1 {
+		label = fmt.Sprintf("%s x%d shards", o.Engine, o.Shards)
 	}
 	return db, label, err
 }
 
-func runValidate(opts options, comp gdprbench.Compliance, cfg gdprbench.Config, names []gdprbench.WorkloadName) error {
+func runValidate(opts options, cfg gdprbench.Config, names []gdprbench.WorkloadName) error {
 	if opts.secondary != nil {
 		// The oracle pass replays its own deterministic script, not a
 		// Mix, so a distribution override would be silently ignored.
@@ -345,20 +295,16 @@ func runValidate(opts options, comp gdprbench.Compliance, cfg gdprbench.Config, 
 	var total gdprbench.CorrectnessReport
 	for _, name := range names {
 		sim := clock.NewSim(time.Time{})
-		var db gdprbench.DB
-		var err error
-		if opts.connect != "" {
-			db, _, err = openBench(opts, comp, sim, true)
-		} else {
-			var sub string
-			sub, err = os.MkdirTemp(opts.dir, "validate-*")
+		subOpts := opts
+		if opts.connect == "" {
+			// Each workload validates against a freshly loaded store.
+			sub, err := os.MkdirTemp(opts.store.Dir, "validate-*")
 			if err != nil {
 				return err
 			}
-			subOpts := opts
-			subOpts.dir = sub
-			db, err = open(subOpts, comp, sim, true)
+			subOpts.store.Dir = sub
 		}
+		db, _, err := openBench(subOpts, sim, true)
 		if err != nil {
 			return err
 		}
@@ -367,7 +313,7 @@ func runValidate(opts options, comp gdprbench.Compliance, cfg gdprbench.Config, 
 			db.Close()
 			return err
 		}
-		rep, err := core.Validate(db, ds, name, sim, comp.AccessControl)
+		rep, err := core.Validate(db, ds, name, sim, opts.store.Compliance.AccessControl)
 		db.Close()
 		if err != nil {
 			return err
@@ -380,8 +326,8 @@ func runValidate(opts options, comp gdprbench.Compliance, cfg gdprbench.Config, 
 	return nil
 }
 
-func runTimed(opts options, comp gdprbench.Compliance, cfg gdprbench.Config, names []gdprbench.WorkloadName) error {
-	db, label, err := openBench(opts, comp, nil, false)
+func runTimed(opts options, cfg gdprbench.Config, names []gdprbench.WorkloadName) error {
+	db, label, err := openBench(opts, nil, false)
 	if err != nil {
 		return err
 	}
@@ -392,7 +338,7 @@ func runTimed(opts options, comp gdprbench.Compliance, cfg gdprbench.Config, nam
 		// client-side default would misattribute the results.
 		fmt.Printf("loading %d records into %s (compliance: server-side)...\n", opts.records, label)
 	} else {
-		fmt.Printf("loading %d records into %s (compliance: %s)...\n", opts.records, label, comp)
+		fmt.Printf("loading %d records into %s (compliance: %s)...\n", opts.records, label, opts.store.Compliance)
 	}
 	ds, loadRun, err := gdprbench.Load(db, cfg)
 	if err != nil {
@@ -472,10 +418,4 @@ func runTimed(opts options, comp gdprbench.Compliance, cfg gdprbench.Config, nam
 		return fmt.Errorf("%d operation error(s) recorded across workloads", totalErrs)
 	}
 	return nil
-}
-
-// open builds a client: the plain stubs for one shard, the scatter-gather
-// router behind the same middleware for several.
-func open(opts options, comp gdprbench.Compliance, clk clock.Clock, disableDaemons bool) (gdprbench.DB, error) {
-	return gdprbench.OpenEngine(opts.engine, opts.shards, opts.dir, comp, clk, disableDaemons, opts.auditPolicy, opts.kvstripes, opts.tuning)
 }

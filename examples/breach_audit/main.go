@@ -20,7 +20,8 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 
-	db, err := gdprbench.OpenRedis(gdprbench.RedisConfig{
+	db, err := gdprbench.OpenEngine(gdprbench.Options{
+		Engine:     "redis",
 		Dir:        dir,
 		Compliance: gdprbench.FullCompliance(),
 	})

@@ -20,7 +20,8 @@ func main() {
 
 	// A compliant datastore: encrypted at rest and in transit, audited,
 	// access-controlled, with strict TTL handling (§5's Redis retrofit).
-	db, err := gdprbench.OpenRedis(gdprbench.RedisConfig{
+	db, err := gdprbench.OpenEngine(gdprbench.Options{
+		Engine:     "redis",
 		Dir:        dir,
 		Compliance: gdprbench.FullCompliance(),
 	})

@@ -20,7 +20,8 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 
-	db, err := gdprbench.OpenPostgres(gdprbench.PostgresConfig{
+	db, err := gdprbench.OpenEngine(gdprbench.Options{
+		Engine:     "postgres",
 		Dir:        dir,
 		Compliance: gdprbench.FullCompliance(),
 	})

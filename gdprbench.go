@@ -9,7 +9,8 @@
 //
 // # Quick start
 //
-//	db, err := gdprbench.OpenRedis(gdprbench.RedisConfig{
+//	db, err := gdprbench.OpenEngine(gdprbench.Options{
+//		Engine:     "redis",
 //		Dir:        "/tmp/gdpr",
 //		Compliance: gdprbench.FullCompliance(),
 //	})
@@ -76,10 +77,9 @@ type (
 	CorrectnessReport = core.CorrectnessReport
 	// AuditEntry is one line of the compliance audit trail.
 	AuditEntry = audit.Entry
-	// RedisConfig configures the Redis-model client.
-	RedisConfig = core.RedisConfig
-	// PostgresConfig configures the PostgreSQL-model client.
-	PostgresConfig = core.PostgresConfig
+	// Options is one store configuration: engine model, shard count,
+	// directory, compliance features, clock, log policies and tuning.
+	Options = core.Options
 	// Tuning carries the background log-compaction knobs (AOF rewrite
 	// threshold, WAL checkpoint threshold, audit retention window).
 	Tuning = core.Tuning
@@ -139,15 +139,6 @@ const (
 	AuditAsync   = audit.PipeAsync
 )
 
-// ParseAuditPolicy maps a -auditpolicy flag value to an AuditPolicy.
-func ParseAuditPolicy(s string) (AuditPolicy, error) { return audit.ParsePipeline(s) }
-
-// DefaultAuditPolicy is the pipeline the CLIs run unless told otherwise:
-// group-committed appends with caller wait — the synchronous guarantee
-// at amortized cost. `-auditpolicy sync` restores the legacy inline
-// baseline; `-auditpolicy async` removes the wait entirely.
-const DefaultAuditPolicy = AuditBatched
-
 // AuditStats carries the audit pipeline's counters (gdprbench -json's
 // audit block). Any DB wrapped by the compliance middleware exposes it
 // through AuditStatser.
@@ -185,63 +176,19 @@ func FullCompliance() Compliance { return core.Full() }
 // NoCompliance returns the no-security baseline of §6.1.
 func NoCompliance() Compliance { return core.None() }
 
-// OpenRedis opens the Redis-model engine behind the GDPRbench client stub.
-func OpenRedis(cfg RedisConfig) (*core.RedisClient, error) { return core.OpenRedis(cfg) }
-
-// OpenPostgres opens the PostgreSQL-model engine behind the client stub.
-func OpenPostgres(cfg PostgresConfig) (*core.PostgresClient, error) { return core.OpenPostgres(cfg) }
-
 // Engine is the narrow storage contract beneath the compliance
 // middleware; implement it to give a new backend the full GDPR layer.
 type Engine = core.Engine
 
-// OpenShardedRedis opens shards Redis-model engines (each with its own
-// AOF and expiry loop) hash-partitioned behind one compliance middleware.
-// Attribute queries scatter-gather across shards in parallel.
-func OpenShardedRedis(shards int, cfg RedisConfig) (DB, error) {
-	return shard.OpenRedis(shards, cfg)
-}
-
-// OpenShardedPostgres opens shards PostgreSQL-model engines (each with
-// its own WAL and TTL daemon) hash-partitioned behind one compliance
-// middleware with a single statement log.
-func OpenShardedPostgres(shards int, cfg PostgresConfig) (DB, error) {
-	return shard.OpenPostgres(shards, cfg)
-}
-
-// OpenSharded dispatches on the engine model name ("redis" | "postgres").
-// kvstripes selects the kvstore concurrency profile (0 = Redis-faithful
-// exclusive profile; ignored by the postgres model); tun arms the background
-// log-compaction triggers (zero value disables them all).
-func OpenSharded(engine string, shards int, dir string, comp Compliance, clk clock.Clock, disableDaemons bool, policy AuditPolicy, kvstripes int, tun Tuning) (DB, error) {
-	return shard.Open(engine, shards, dir, comp, clk, disableDaemons, policy, kvstripes, tun)
-}
-
-// OpenEngine is the one engine-selection switch shared by the CLIs:
-// the plain client stubs for one shard, the scatter-gather router
-// behind the same compliance middleware for several. policy selects the
-// audit append pipeline (DefaultAuditPolicy for the CLIs' default);
-// kvstripes the kvstore concurrency profile (the -kvstripes flag); tun
-// the background log-compaction triggers (the -aofrewrite-pct,
-// -walcheckpoint and -auditretain flags; zero disables them all).
-func OpenEngine(engine string, shards int, dir string, comp Compliance, clk clock.Clock, disableDaemons bool, policy AuditPolicy, kvstripes int, tun Tuning) (DB, error) {
-	if shards > 1 {
-		return OpenSharded(engine, shards, dir, comp, clk, disableDaemons, policy, kvstripes, tun)
+// OpenEngine opens the store o describes — the one way to open one, shared
+// by the CLIs, the examples and the tests: a single engine under the
+// compliance middleware for one shard, the scatter-gather router under the
+// same middleware (and a single audit trail) for several.
+func OpenEngine(o Options) (DB, error) {
+	if o.Shards > 1 {
+		return shard.Open(o)
 	}
-	switch engine {
-	case "redis":
-		return OpenRedis(RedisConfig{
-			Dir: dir, Compliance: comp, Clock: clk, DisableBackgroundExpiry: disableDaemons,
-			AuditPolicy: policy, KVStripes: kvstripes, Tuning: tun,
-		})
-	case "postgres":
-		return OpenPostgres(PostgresConfig{
-			Dir: dir, Compliance: comp, Clock: clk, DisableTTLDaemon: disableDaemons,
-			AuditPolicy: policy, Tuning: tun,
-		})
-	default:
-		return nil, fmt.Errorf("gdprbench: unknown engine %q", engine)
-	}
+	return core.Open(o, nil)
 }
 
 // RemoteConfig configures OpenRemote (server address, auth token,
@@ -269,40 +216,35 @@ type Server = server.Server
 // closes) db.
 func NewServer(db DB, cfg ServerConfig) *Server { return server.New(db, cfg) }
 
-// ServeEngine opens the selected engine (hash-sharded when shards > 1;
-// on a frozen simulated clock with expiry daemons off when frozen, the
-// configuration oracle-validation clients need) and serves it on addr
-// until SIGINT/SIGTERM, then drains gracefully. An empty dir uses a
-// temp directory removed on exit. It is the one serve bootstrap shared
-// by cmd/gdprserver and gdprbench -serve, so the two binaries cannot
-// drift.
-func ServeEngine(addr, engine string, shards int, dir, token string, comp Compliance, frozen bool, policy AuditPolicy, kvstripes int, tun Tuning) error {
-	if shards < 1 {
-		return fmt.Errorf("gdprbench: shard count %d < 1", shards)
-	}
-	if dir == "" {
+// ServeEngine opens the store o describes (on a frozen simulated clock
+// with expiry daemons off when frozen, the configuration
+// oracle-validation clients need) and serves it on addr until
+// SIGINT/SIGTERM, then drains gracefully. An empty o.Dir uses a temp
+// directory removed on exit. It is the one serve bootstrap shared by
+// cmd/gdprserver and gdprbench -serve, so the two binaries cannot drift.
+func ServeEngine(addr, token string, o Options, frozen bool) error {
+	if o.Dir == "" {
 		tmp, err := os.MkdirTemp("", "gdprserver-*")
 		if err != nil {
 			return err
 		}
 		defer os.RemoveAll(tmp)
-		dir = tmp
+		o.Dir = tmp
 	}
-	var clk clock.Clock
 	if frozen {
-		clk = clock.NewSim(time.Time{})
+		o.Clock, o.DisableDaemons = clock.NewSim(time.Time{}), true
 	}
-	db, err := OpenEngine(engine, shards, dir, comp, clk, frozen, policy, kvstripes, tun)
+	db, err := OpenEngine(o)
 	if err != nil {
 		return err
 	}
 	defer db.Close()
-	srv := NewServer(db, ServerConfig{Token: token, AuditPolicy: policy.String()})
+	srv := NewServer(db, ServerConfig{Token: token, AuditPolicy: o.AuditPolicy.String()})
 	bound, err := srv.Start(addr)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("serving engine=%s shards=%d compliance=%s auditpolicy=%s on %s\n", engine, shards, comp, policy, bound)
+	fmt.Printf("serving engine=%s shards=%d compliance=%s auditpolicy=%s on %s\n", o.Engine, o.Shards, o.Compliance, o.AuditPolicy, bound)
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig

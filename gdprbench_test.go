@@ -11,7 +11,8 @@ import (
 
 func openTestRedis(t *testing.T) DB {
 	t.Helper()
-	db, err := OpenRedis(RedisConfig{
+	db, err := OpenEngine(Options{
+		Engine:     "redis",
 		Dir:        t.TempDir(),
 		Compliance: FullCompliance(),
 	})
@@ -26,7 +27,8 @@ func openTestPostgres(t *testing.T, indexed bool) DB {
 	t.Helper()
 	comp := FullCompliance()
 	comp.MetadataIndexing = indexed
-	db, err := OpenPostgres(PostgresConfig{
+	db, err := OpenEngine(Options{
+		Engine:     "postgres",
 		Dir:        t.TempDir(),
 		Compliance: comp,
 	})

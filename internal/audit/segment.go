@@ -235,21 +235,24 @@ func decodeBatch(p []byte, fn func(Entry) error) error {
 
 // segmentStore owns the on-disk side of the trail. The writer goroutine
 // (or the inline sync path) appends and rolls; queries snapshot the
-// sealed list and replay overlapping segments. One small mutex guards
-// the segment list and the active handle — never held across file IO
-// longer than one append or flush.
+// sealed list and replay overlapping segments. Two mutexes split the
+// state: actMu owns the active file handle and is held across its
+// flush/fsync/seal, mu owns the summaries queries snapshot and is never
+// held across file IO. Lock order: compactRun, compactMu, actMu, mu
+// (Log.mu is a leaf, never held across a call into the store).
 type segmentStore struct {
 	base     string
 	key      []byte
 	maxBytes int64
 
-	mu     sync.Mutex
-	sealed []segMeta
-	active *securefs.File
-	actMu  sync.Mutex // serializes seal/roll against query flushes
-	actIdx int        // numeric suffix of the active segment
-	actRef segMeta
+	actMu  sync.Mutex     // serializes seal/roll/close against query flushes; guards active, actIdx, closed
+	active *securefs.File // the segment being appended to
+	actIdx int            // its numeric suffix
 	closed bool
+
+	mu     sync.Mutex // guards sealed, actRef
+	sealed []segMeta
+	actRef segMeta // the active segment's running summary
 
 	// Retention compaction. compactMu lets queries replay sealed files
 	// without a compactor renaming or deleting them mid-read: read holds
@@ -471,6 +474,8 @@ func readSidecar(segFile string, key []byte) (segMeta, error) {
 	return m, nil
 }
 
+// openActive creates segment actIdx and makes it the active one. Callers
+// hold actMu (or are the constructor, before the store is shared).
 func (s *segmentStore) openActive() error {
 	path := segPath(s.base, s.actIdx)
 	f, err := securefs.Create(path, securefs.Options{Key: s.key, BufferSize: 1 << 13})
@@ -478,7 +483,9 @@ func (s *segmentStore) openActive() error {
 		return err
 	}
 	s.active = f
+	s.mu.Lock()
 	s.actRef = segMeta{path: path}
+	s.mu.Unlock()
 	return nil
 }
 
@@ -814,12 +821,12 @@ func (s *segmentStore) restoredCounters() (maxSeq uint64, count, bytes int64) {
 // close seals the active segment (making the whole trail durable and
 // sidecar-indexed) and marks the store closed. Idempotent.
 func (s *segmentStore) close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	s.actMu.Lock()
+	closed := s.closed
+	s.actMu.Unlock()
+	if closed {
 		return nil
 	}
-	s.mu.Unlock()
 	err := s.seal()
 	s.actMu.Lock()
 	s.closed = true

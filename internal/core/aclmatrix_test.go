@@ -26,12 +26,13 @@ import (
 func aclFixture(t *testing.T) (DB, *clock.Sim) {
 	t.Helper()
 	sim := clock.NewSim(time.Unix(1_500_000_000, 0))
-	db, err := OpenRedis(RedisConfig{
-		Dir:                     t.TempDir(),
-		Compliance:              Compliance{AccessControl: true, Strict: true, Logging: true},
-		Clock:                   sim,
-		DisableBackgroundExpiry: true,
-	})
+	db, err := Open(Options{
+		Engine:         "redis",
+		Dir:            t.TempDir(),
+		Compliance:     Compliance{AccessControl: true, Strict: true, Logging: true},
+		Clock:          sim,
+		DisableDaemons: true,
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,7 +55,7 @@ func trailFor(t *testing.T, policy audit.Pipeline, memCap int) (entries []audit.
 		t.Fatal(err)
 	}
 	eng, err := NewRedisEngine(RedisConfig{
-		Dir: dir, Compliance: comp, Clock: sim, DisableBackgroundExpiry: true,
+		Dir: dir, Compliance: comp, Clock: sim, DisableDaemons: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +161,7 @@ func TestAuditStatsExposed(t *testing.T) {
 	if _, _, err := Load(c, cfg, sim); err != nil {
 		t.Fatal(err)
 	}
-	st, ok := c.AuditStats()
+	st, ok := c.(*middleware).AuditStats()
 	if !ok {
 		t.Fatal("AuditStats reported logging off under Full compliance")
 	}
@@ -170,7 +170,7 @@ func TestAuditStatsExposed(t *testing.T) {
 	}
 	// Logging off: no stats.
 	noLog := openRedis(t, sim, Compliance{AccessControl: true})
-	if _, ok := noLog.AuditStats(); ok {
+	if _, ok := noLog.(*middleware).AuditStats(); ok {
 		t.Fatal("AuditStats reported logging on without Logging")
 	}
 }

@@ -10,13 +10,13 @@ import (
 	"repro/internal/gdpr"
 )
 
-func openBatchClient(t *testing.T, comp Compliance) (*PostgresClient, *Dataset) {
+func openBatchClient(t *testing.T, comp Compliance) (DB, *Dataset) {
 	t.Helper()
 	sim := clock.NewSim(time.Time{})
-	c, err := OpenPostgres(PostgresConfig{
-		Dir: t.TempDir(), Clock: sim, Compliance: comp, DisableTTLDaemon: true,
+	c, err := Open(Options{
+		Engine: "postgres", Dir: t.TempDir(), Clock: sim, Compliance: comp, DisableDaemons: true,
 		SynchronousCommit: true,
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestCreateRecordsMatchesPerRecordPath(t *testing.T) {
 	for i := range recs {
 		recs[i] = ds.RecordAt(i)
 	}
-	if err := batch.CreateRecords(ControllerActor(), recs); err != nil {
+	if err := batch.(BatchCreator).CreateRecords(ControllerActor(), recs); err != nil {
 		t.Fatal(err)
 	}
 	for _, rec := range recs {
@@ -44,7 +44,7 @@ func TestCreateRecordsMatchesPerRecordPath(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, c := range []*PostgresClient{batch, single} {
+	for _, c := range []DB{batch, single} {
 		got, err := c.ReadData(ControllerActor(), gdpr.ByUser(recs[0].Meta.User))
 		if err != nil {
 			t.Fatal(err)
@@ -79,11 +79,11 @@ func TestCreateRecordsEnforcesValidationAndACL(t *testing.T) {
 	c, ds := openBatchClient(t, Compliance{AccessControl: true, Strict: true})
 	bad := ds.RecordAt(0)
 	bad.Meta.User = "" // strict validation requires an owner
-	if err := c.CreateRecords(ControllerActor(), []gdpr.Record{ds.RecordAt(1), bad}); err == nil {
+	if err := c.(BatchCreator).CreateRecords(ControllerActor(), []gdpr.Record{ds.RecordAt(1), bad}); err == nil {
 		t.Fatal("invalid record in batch should fail")
 	}
 	customer := ds.CustomerActor(0)
-	err := c.CreateRecords(customer, []gdpr.Record{ds.RecordAt(2)})
+	err := c.(BatchCreator).CreateRecords(customer, []gdpr.Record{ds.RecordAt(2)})
 	var denied *acl.DeniedError
 	if !errors.As(err, &denied) {
 		t.Fatalf("customer create = %v, want denial", err)
@@ -98,15 +98,15 @@ func TestCreateRecordsEnforcesValidationAndACL(t *testing.T) {
 // (a BatchCreator) must produce the full dataset.
 func TestLoadUsesBatchPathOnPostgres(t *testing.T) {
 	sim := clock.NewSim(time.Time{})
-	c, err := OpenPostgres(PostgresConfig{
-		Dir: t.TempDir(), Clock: sim, DisableTTLDaemon: true, SynchronousCommit: true,
-	})
+	c, err := Open(Options{
+		Engine: "postgres", Dir: t.TempDir(), Clock: sim, DisableDaemons: true, SynchronousCommit: true,
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	if _, ok := interface{}(c).(BatchCreator); !ok {
-		t.Fatal("PostgresClient must implement BatchCreator")
+		t.Fatal("the postgres model must implement BatchCreator")
 	}
 	cfg := Config{Records: 500, Threads: 4, Seed: 1}
 	ds, run, err := Load(c, cfg, sim)

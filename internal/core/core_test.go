@@ -11,6 +11,7 @@ import (
 	"repro/internal/acl"
 	"repro/internal/clock"
 	"repro/internal/gdpr"
+	"repro/internal/kvstore"
 )
 
 func smallConfig() Config {
@@ -22,15 +23,27 @@ func smallConfig() Config {
 	}.WithDefaults()
 }
 
+// engineOf reaches under the middleware for the storage adapter.
+func engineOf(db DB) Engine {
+	if b, ok := db.(*batchDB); ok {
+		return b.eng
+	}
+	return db.(*middleware).eng
+}
+
+// kvStoreOf returns the kvstore under an unsharded Redis-model DB.
+func kvStoreOf(db DB) *kvstore.Store { return engineOf(db).(*kvEngine).store }
+
 // openRedis returns a fully-compliant Redis-model client on a sim clock.
-func openRedis(t testing.TB, sim *clock.Sim, comp Compliance) *RedisClient {
+func openRedis(t testing.TB, sim *clock.Sim, comp Compliance) DB {
 	t.Helper()
-	c, err := OpenRedis(RedisConfig{
-		Dir:                     t.TempDir(),
-		Compliance:              comp,
-		Clock:                   sim,
-		DisableBackgroundExpiry: true,
-	})
+	c, err := Open(Options{
+		Engine:         "redis",
+		Dir:            t.TempDir(),
+		Compliance:     comp,
+		Clock:          sim,
+		DisableDaemons: true,
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,14 +52,15 @@ func openRedis(t testing.TB, sim *clock.Sim, comp Compliance) *RedisClient {
 }
 
 // openPostgres returns a Postgres-model client on a sim clock.
-func openPostgres(t testing.TB, sim *clock.Sim, comp Compliance) *PostgresClient {
+func openPostgres(t testing.TB, sim *clock.Sim, comp Compliance) DB {
 	t.Helper()
-	c, err := OpenPostgres(PostgresConfig{
-		Dir:              t.TempDir(),
-		Compliance:       comp,
-		Clock:            sim,
-		DisableTTLDaemon: true,
-	})
+	c, err := Open(Options{
+		Engine:         "postgres",
+		Dir:            t.TempDir(),
+		Compliance:     comp,
+		Clock:          sim,
+		DisableDaemons: true,
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,9 +254,9 @@ func TestRedisClientCorrectness(t *testing.T) {
 	sim := clock.NewSim(time.Time{})
 	cfg := smallConfig()
 	open := func() (DB, *Dataset, error) {
-		c, err := OpenRedis(RedisConfig{
-			Dir: t.TempDir(), Compliance: Full(), Clock: sim, DisableBackgroundExpiry: true,
-		})
+		c, err := Open(Options{
+			Engine: "redis", Dir: t.TempDir(), Compliance: Full(), Clock: sim, DisableDaemons: true,
+		}, nil)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -266,9 +280,9 @@ func TestPostgresClientCorrectness(t *testing.T) {
 		comp := Full()
 		comp.MetadataIndexing = indexed
 		open := func() (DB, *Dataset, error) {
-			c, err := OpenPostgres(PostgresConfig{
-				Dir: t.TempDir(), Compliance: comp, Clock: sim, DisableTTLDaemon: true,
-			})
+			c, err := Open(Options{
+				Engine: "postgres", Dir: t.TempDir(), Compliance: comp, Clock: sim, DisableDaemons: true,
+			}, nil)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -288,9 +302,9 @@ func TestCorrectnessWithoutACL(t *testing.T) {
 	cfg := smallConfig()
 	comp := Compliance{Logging: true, Strict: true} // no ACL, no encryption
 	open := func() (DB, *Dataset, error) {
-		c, err := OpenRedis(RedisConfig{
-			Dir: t.TempDir(), Compliance: comp, Clock: sim, DisableBackgroundExpiry: true,
-		})
+		c, err := Open(Options{
+			Engine: "redis", Dir: t.TempDir(), Compliance: comp, Clock: sim, DisableDaemons: true,
+		}, nil)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -402,7 +416,7 @@ func TestTTLSweepOnPostgres(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim.Advance(2 * time.Minute)
-	n, err := c.SweepExpired()
+	n, err := engineOf(c).(*relEngine).db.SweepExpired(RecordsTable, "ttl")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +424,7 @@ func TestTTLSweepOnPostgres(t *testing.T) {
 		t.Fatal("sweep deleted nothing")
 	}
 	// A second sweep finds nothing.
-	n2, _ := c.SweepExpired()
+	n2, _ := engineOf(c).(*relEngine).db.SweepExpired(RecordsTable, "ttl")
 	if n2 != 0 {
 		t.Fatalf("second sweep deleted %d", n2)
 	}
@@ -550,7 +564,7 @@ func TestRedisClientPersistsAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
 	sim := clock.NewSim(time.Time{})
 	comp := Full()
-	c, err := OpenRedis(RedisConfig{Dir: dir, Compliance: comp, Clock: sim, DisableBackgroundExpiry: true})
+	c, err := Open(Options{Engine: "redis", Dir: dir, Compliance: comp, Clock: sim, DisableDaemons: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -562,7 +576,7 @@ func TestRedisClientPersistsAcrossReopen(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	c2, err := OpenRedis(RedisConfig{Dir: dir, Compliance: comp, Clock: sim, DisableBackgroundExpiry: true})
+	c2, err := Open(Options{Engine: "redis", Dir: dir, Compliance: comp, Clock: sim, DisableDaemons: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -577,8 +591,8 @@ func TestPostgresClientPersistsAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
 	sim := clock.NewSim(time.Time{})
 	comp := Full()
-	open := func() *PostgresClient {
-		c, err := OpenPostgres(PostgresConfig{Dir: dir, Compliance: comp, Clock: sim, DisableTTLDaemon: true})
+	open := func() DB {
+		c, err := Open(Options{Engine: "postgres", Dir: dir, Compliance: comp, Clock: sim, DisableDaemons: true}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

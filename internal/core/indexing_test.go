@@ -16,13 +16,14 @@ import (
 // exactly what the scan path returns, and the non-indexable shapes
 // (negated selectors, SRC equality) still fall back to the scan.
 
-func openIndexingClient(t *testing.T, sim *clock.Sim, indexed bool) (*RedisClient, *Dataset) {
+func openIndexingClient(t *testing.T, sim *clock.Sim, indexed bool) (DB, *Dataset) {
 	t.Helper()
-	client, err := OpenRedis(RedisConfig{
-		Compliance:              Compliance{Strict: true, MetadataIndexing: indexed},
-		Clock:                   sim,
-		DisableBackgroundExpiry: true,
-	})
+	client, err := Open(Options{
+		Engine:         "redis",
+		Compliance:     Compliance{Strict: true, MetadataIndexing: indexed},
+		Clock:          sim,
+		DisableDaemons: true,
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,19 +61,19 @@ func TestIndexedSelectPerformsNoFullScan(t *testing.T) {
 	if _, err := client.DeleteRecord(actor, gdpr.ByExpiredAt(sim.Now())); err != nil {
 		t.Fatal(err)
 	}
-	if got := client.Store().FullScans(); got != 0 {
+	if got := kvStoreOf(client).FullScans(); got != 0 {
 		t.Fatalf("indexed equality selectors performed %d full scans, want 0", got)
 	}
 
 	// Non-indexable shapes still work — through the scan fallback.
-	before := client.Store().FullScans()
+	before := kvStoreOf(client).FullScans()
 	if _, err := client.ReadData(actor, gdpr.ByNotObjecting(ds.PurposeName(1))); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := client.ReadData(actor, gdpr.Selector{Attr: gdpr.AttrSource, Value: ds.SourceName(0)}); err != nil {
 		t.Fatal(err)
 	}
-	if got := client.Store().FullScans(); got != before+2 {
+	if got := kvStoreOf(client).FullScans(); got != before+2 {
 		t.Fatalf("fallback selectors scanned %d times, want 2", got-before)
 	}
 }
@@ -83,7 +84,7 @@ func TestScanBaselineStillScans(t *testing.T) {
 	if _, err := client.ReadData(ControllerActor(), gdpr.ByUser(ds.UserName(3))); err != nil {
 		t.Fatal(err)
 	}
-	if got := client.Store().FullScans(); got != 1 {
+	if got := kvStoreOf(client).FullScans(); got != 1 {
 		t.Fatalf("baseline BY-USR read scanned %d times, want 1", got)
 	}
 }
@@ -168,7 +169,7 @@ func TestIndexedMatchesScanResults(t *testing.T) {
 	if ua.PersonalBytes != ub.PersonalBytes {
 		t.Fatalf("personal bytes diverged: %d vs %d", ua.PersonalBytes, ub.PersonalBytes)
 	}
-	idxBytes := indexed.Store().IndexBytes()
+	idxBytes := kvStoreOf(indexed).IndexBytes()
 	if idxBytes <= 0 {
 		t.Fatal("indexed client reports no index bytes")
 	}
@@ -192,10 +193,10 @@ func TestIndexedStoreSurvivesAOFReplay(t *testing.T) {
 	dir := t.TempDir()
 	sim := clock.NewSim(time.Unix(1_500_000_000, 0))
 	comp := Compliance{Strict: true, Logging: true, MetadataIndexing: true}
-	open := func() *RedisClient {
-		client, err := OpenRedis(RedisConfig{
-			Dir: dir, Compliance: comp, Clock: sim, DisableBackgroundExpiry: true,
-		})
+	open := func() DB {
+		client, err := Open(Options{
+			Engine: "redis", Dir: dir, Compliance: comp, Clock: sim, DisableDaemons: true,
+		}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,10 +230,10 @@ func TestIndexedStoreSurvivesAOFReplay(t *testing.T) {
 	if !reflect.DeepEqual(recordKeys(got), recordKeys(want)) {
 		t.Fatalf("replayed index answered %v, want %v", recordKeys(got), recordKeys(want))
 	}
-	if n := client.Store().FullScans(); n != 0 {
+	if n := kvStoreOf(client).FullScans(); n != 0 {
 		t.Fatalf("post-replay indexed read scanned %d times, want 0", n)
 	}
-	if fmt.Sprintf("%v", client.Store().Info()["metadata_indexing"]) != "true" {
+	if fmt.Sprintf("%v", kvStoreOf(client).Info()["metadata_indexing"]) != "true" {
 		t.Fatal("replayed store lost its indexing flag")
 	}
 }

@@ -61,9 +61,8 @@ type WrapConfig struct {
 
 // OpenAudit opens the audit trail described by a WrapConfig (sync policy
 // per the paper's conventions — everysec unless AuditSyncAlways — with
-// the configured pipeline and optional at-rest encryption). Sharded
-// openers use it to create the single log all shards and the middleware
-// share.
+// the configured pipeline and optional at-rest encryption). Open uses it
+// to create the single log that every engine and the middleware share.
 func OpenAudit(wc WrapConfig, clk clock.Clock) (*audit.Log, error) {
 	policy := audit.SyncEverySec
 	if wc.AuditSyncAlways {

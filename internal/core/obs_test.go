@@ -23,7 +23,7 @@ func obsWrappedDB(t *testing.T) (DB, *Dataset, *obs.Registry) {
 	reg.SetSlowlogThreshold(time.Nanosecond)
 	comp := Compliance{Logging: true, AccessControl: true, Strict: true, EncryptInTransit: true}
 	eng, err := NewRedisEngine(RedisConfig{
-		Dir: dir, Compliance: comp, DisableBackgroundExpiry: true,
+		Dir: dir, Compliance: comp, DisableDaemons: true,
 	})
 	if err != nil {
 		t.Fatal(err)

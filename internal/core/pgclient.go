@@ -5,32 +5,11 @@ import (
 	"path/filepath"
 	"time"
 
-	"repro/internal/acl"
 	"repro/internal/audit"
-	"repro/internal/clock"
 	"repro/internal/gdpr"
 	"repro/internal/relstore"
-	"repro/internal/securefs"
 	"repro/internal/wal"
 )
-
-// PostgresClient is the GDPRbench client for the PostgreSQL-model engine
-// (§5.2): the compliance middleware over a relEngine storage adapter.
-// Records live in one wide table with a column per GDPR metadata
-// attribute; metadata queries become predicates that the planner serves
-// from secondary indexes when MetadataIndexing is on (Figure 5c) and
-// sequential scans otherwise (Figure 5b). Compliance features map to:
-//
-//	EncryptAtRest    → WAL and audit log encrypted via securefs (LUKS)
-//	EncryptInTransit → per-op transit.Pipe record layer (SSL verify-CA)
-//	Logging          → csvlog-style statement+response logging
-//	TimelyDeletion   → TTL daemon at a 1-second period
-//	AccessControl    → acl checks in the middleware
-//	MetadataIndexing → secondary indexes on every metadata column
-type PostgresClient struct {
-	*middleware
-	db *relstore.DB
-}
 
 // RecordsTable is the personal-data table name.
 const RecordsTable = "personal_records"
@@ -114,117 +93,32 @@ func predicateFor(sel gdpr.Selector) (relstore.Predicate, error) {
 	}
 }
 
-// PostgresConfig configures OpenPostgres.
-type PostgresConfig struct {
-	// Dir is where the WAL and audit files live; required for Logging
-	// and WAL persistence. Empty disables persistence entirely.
-	Dir string
-	// Compliance selects the feature set.
-	Compliance Compliance
-	// Clock supplies time; defaults to the real clock.
-	Clock clock.Clock
-	// Passphrase derives the at-rest and in-transit keys.
-	Passphrase string
-	// DisableTTLDaemon leaves expiry to the caller (simulated-clock
-	// harnesses call SweepExpired directly).
-	DisableTTLDaemon bool
-	// SynchronousCommit makes every write wait for WAL durability via
-	// group commit (synchronous_commit=on). Default is the paper's
-	// batched once-per-second flushing (=off/local).
-	SynchronousCommit bool
-	// AuditPolicy selects the audit append pipeline (sync | batched |
-	// async); zero value is the legacy inline sync path.
-	AuditPolicy audit.Pipeline
-	// AuditSyncAlways makes the audit trail fsync per group commit
-	// instead of everysec (the strict durable-audit configuration).
-	AuditSyncAlways bool
-	// Tuning arms the background log-compaction triggers (WAL checkpoint,
-	// audit retention); the zero value disables them all.
-	Tuning Tuning
+// relEngine is the storage adapter of the PostgreSQL-model store (§5.2):
+// it adapts relstore.DB to the Engine contract and holds no compliance
+// state — rows in, records out, with the PostgreSQL cost profile. Records
+// live in one wide table with a column per GDPR metadata attribute;
+// metadata queries become predicates that the planner serves from
+// secondary indexes when MetadataIndexing is on (Figure 5c) and sequential
+// scans otherwise (Figure 5b). Compliance features map to:
+//
+//	EncryptAtRest    → WAL and audit log encrypted via securefs (LUKS)
+//	EncryptInTransit → per-op transit.Pipe record layer (SSL verify-CA)
+//	Logging          → csvlog-style statement+response logging
+//	TimelyDeletion   → TTL daemon at a 1-second period
+//	AccessControl    → acl checks in the middleware
+//	MetadataIndexing → secondary indexes on every metadata column
+type relEngine struct {
+	db *relstore.DB
 }
 
-// WrapConfig derives the middleware configuration from the
-// PostgreSQL-model conventions: csvlog-style audit trail at
-// Dir/postgres-csvlog, keys derived from the passphrase.
-func (cfg PostgresConfig) WrapConfig() WrapConfig {
-	pass := cfg.Passphrase
-	if pass == "" {
-		pass = "gdprbench-postgres"
-	}
-	wc := WrapConfig{
-		Compliance:      cfg.Compliance,
-		Clock:           cfg.Clock,
-		AuditPolicy:     cfg.AuditPolicy,
-		AuditSyncAlways: cfg.AuditSyncAlways,
-		AuditRetention:  cfg.Tuning.AuditRetention,
-	}
-	if cfg.Compliance.Logging && cfg.Dir != "" {
-		wc.AuditPath = filepath.Join(cfg.Dir, "postgres-csvlog")
-		if cfg.Compliance.EncryptAtRest {
-			wc.AuditKey = securefs.Key(pass + "/csvlog")
-		}
-	}
-	if cfg.Compliance.EncryptInTransit {
-		wc.TransitKey = securefs.Key(pass + "/transit")
-	}
-	return wc
-}
-
-// OpenPostgres builds a PostgresClient.
-func OpenPostgres(cfg PostgresConfig) (*PostgresClient, error) {
-	clk := cfg.Clock
-	if clk == nil {
-		clk = clock.NewReal()
-	}
-	wc := cfg.WrapConfig()
-	if cfg.Compliance.Logging {
-		if cfg.Dir == "" {
-			return nil, fmt.Errorf("core: postgres logging requires a directory")
-		}
-		log, err := OpenAudit(wc, clk)
-		if err != nil {
-			return nil, err
-		}
-		wc.Audit = log
-	}
-	eng, err := NewPostgresEngine(cfg, wc.Audit)
-	if err != nil {
-		if wc.Audit != nil {
-			wc.Audit.Close()
-		}
-		return nil, err
-	}
-	m, err := newMiddleware(eng, wc)
-	if err != nil {
-		eng.Close()
-		if wc.Audit != nil {
-			wc.Audit.Close()
-		}
-		return nil, err
-	}
-	return &PostgresClient{middleware: m, db: eng.(*relEngine).db}, nil
-}
-
-// NewPostgresEngine builds a bare PostgreSQL-model storage engine
-// (relstore with WAL, indexes and TTL daemon per the compliance
-// configuration) with no compliance layer attached. statements, when
-// non-nil, receives csvlog-style statement logging — the sharded opener
-// passes one shared log for all shards. The shard router composes several
-// of these; Wrap adds the middleware.
-func NewPostgresEngine(cfg PostgresConfig, statements *audit.Log) (Engine, error) {
-	clk := cfg.Clock
-	if clk == nil {
-		clk = clock.NewReal()
-	}
-	comp := cfg.Compliance
-	pass := cfg.Passphrase
-	if pass == "" {
-		pass = "gdprbench-postgres"
-	}
-
+// openRelEngine builds one relstore (WAL at dir/postgres.wal, indexes, TTL
+// daemon) per the resolved o. statements receives csvlog-style statement
+// logging when Logging is on — one shared log for every shard.
+func openRelEngine(o Options, dir string, statements *audit.Log) (Engine, error) {
+	comp := o.Compliance
 	relCfg := relstore.Config{
-		Clock:           clk,
-		CheckpointBytes: cfg.Tuning.WALCheckpointBytes,
+		Clock:           o.Clock,
+		CheckpointBytes: o.Tuning.WALCheckpointBytes,
 	}
 	if comp.Logging {
 		if statements == nil {
@@ -233,14 +127,14 @@ func NewPostgresEngine(cfg PostgresConfig, statements *audit.Log) (Engine, error
 		relCfg.Audit = statements
 		relCfg.LogStatements = true
 	}
-	if cfg.Dir != "" {
-		relCfg.WALPath = filepath.Join(cfg.Dir, "postgres.wal")
+	if dir != "" {
+		relCfg.WALPath = filepath.Join(dir, "postgres.wal")
 		relCfg.WALSync = wal.SyncBatched
-		if cfg.SynchronousCommit {
+		if o.SynchronousCommit {
 			relCfg.WALSync = wal.SyncOnCommit
 		}
 		if comp.EncryptAtRest {
-			relCfg.EncryptionKey = securefs.Key(pass + "/wal")
+			relCfg.EncryptionKey = o.key("wal")
 		}
 	}
 	db, err := relstore.Open(relCfg)
@@ -264,45 +158,12 @@ func NewPostgresEngine(cfg PostgresConfig, statements *audit.Log) (Engine, error
 			}
 		}
 	}
-	if comp.TimelyDeletion && !cfg.DisableTTLDaemon {
+	if comp.TimelyDeletion && !o.DisableDaemons {
 		if err := db.StartTTLDaemon(RecordsTable, "ttl", TTLDaemonPeriod); err != nil {
 			return fail(err)
 		}
 	}
 	return &relEngine{db: db}, nil
-}
-
-// DB exposes the underlying engine for experiment harnesses.
-func (c *PostgresClient) DB() *relstore.DB { return c.db }
-
-// SweepExpired runs one synchronous TTL-daemon pass (simulated clocks).
-func (c *PostgresClient) SweepExpired() (int, error) {
-	return c.db.SweepExpired(RecordsTable, "ttl")
-}
-
-// CreateRecords implements BatchCreator: it validates and ACL-checks
-// every record, then inserts the batch through the engine's bulk path —
-// one table-lock acquisition, one snapshot publish and one group-commit
-// wait for the whole batch instead of per record. core.Load uses it to
-// make the load phase scale with writer threads.
-func (c *PostgresClient) CreateRecords(a acl.Actor, recs []gdpr.Record) error {
-	return c.createBatch(a, recs)
-}
-
-var (
-	_ DB           = (*PostgresClient)(nil)
-	_ BatchCreator = (*PostgresClient)(nil)
-)
-
-// ---------------------------------------------------------------------------
-// relEngine: the storage adapter
-
-// relEngine adapts relstore.DB to the Engine contract. It holds no
-// compliance state — rows in, records out, with the PostgreSQL cost
-// profile (point reads and indexed predicates when indexes exist,
-// sequential scans otherwise).
-type relEngine struct {
-	db *relstore.DB
 }
 
 // Put implements Engine (INSERT semantics: duplicate keys error).
@@ -425,5 +286,10 @@ func (e *relEngine) SpaceUsage() (SpaceUsage, error) {
 
 // Close implements Engine.
 func (e *relEngine) Close() error { return e.db.Close() }
+
+// DB exposes the relstore under the adapter to harnesses that shape it
+// beyond what Options spells (a partial index set); they reach it by
+// asserting on the Engine NewPostgresEngine returns.
+func (e *relEngine) DB() *relstore.DB { return e.db }
 
 var _ BatchEngine = (*relEngine)(nil)

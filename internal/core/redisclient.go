@@ -6,19 +6,19 @@ import (
 	"time"
 
 	"repro/internal/audit"
-	"repro/internal/clock"
 	"repro/internal/gdpr"
 	"repro/internal/index"
 	"repro/internal/kvstore"
-	"repro/internal/securefs"
 )
 
-// RedisClient is the GDPRbench client for the Redis-model engine (§5.1):
-// the compliance middleware over a kvEngine storage adapter. Records are
-// stored in wire format under their key; by default every attribute query
-// is an O(n) scan because the engine has no secondary indexes — exactly
-// the property that makes GDPR workloads slow on Redis in §6.2.
-// Compliance features map to:
+// kvEngine is the storage adapter of the Redis-model store (§5.1): it
+// adapts kvstore.Store to the Engine contract and holds no compliance
+// state — records in, records out, with the Redis cost profile (O(1) keyed
+// access, O(n) attribute scans, expiry bookkeeping). Records are stored in
+// wire format under their key; by default every attribute query is an O(n)
+// scan because the engine has no secondary indexes — exactly the property
+// that makes GDPR workloads slow on Redis in §6.2. Compliance features map
+// to:
 //
 //	EncryptAtRest    → AOF encrypted via securefs (LUKS substitute)
 //	EncryptInTransit → per-op transit.Pipe record layer (Stunnel substitute)
@@ -31,143 +31,42 @@ import (
 //	                   left Redis scanning); equality attribute selectors
 //	                   become O(result), TTL purges O(expired)
 //
-// The Redis model deliberately does not batch creates (no BatchCreator):
-// the paper's load phase issues one command per record.
-type RedisClient struct {
-	*middleware
-	store *kvstore.Store
-}
-
-// RedisConfig configures OpenRedis.
-type RedisConfig struct {
-	// Dir is where the AOF and audit files live; required when Logging
-	// or EncryptAtRest persistence is enabled.
-	Dir string
-	// Compliance selects the feature set.
-	Compliance Compliance
-	// Clock supplies time; defaults to the real clock.
-	Clock clock.Clock
-	// Passphrase derives the at-rest and in-transit keys.
-	Passphrase string
-	// DisableBackgroundExpiry leaves the expiry loop to the caller
-	// (simulated-clock harnesses drive CycleOnce directly).
-	DisableBackgroundExpiry bool
-	// AuditPolicy selects the audit append pipeline (sync | batched |
-	// async); zero value is the legacy inline sync path.
-	AuditPolicy audit.Pipeline
-	// AuditSyncAlways makes the audit trail fsync per group commit
-	// instead of everysec (the strict durable-audit configuration).
-	AuditSyncAlways bool
-	// KVStripes is kvstore.Config.Striping: that many hash stripes
-	// (rounded up to a power of two) with shared-lock reads and a staged
-	// group-commit AOF; 0 is the Redis-faithful profile — one stripe,
-	// every command exclusive, AOF written on the command path.
-	KVStripes int
-	// Tuning arms the background log-compaction triggers (AOF rewrite,
-	// audit retention); the zero value disables them all.
-	Tuning Tuning
-}
-
-// WrapConfig derives the middleware configuration from the Redis-model
-// conventions: audit trail at Dir/redis-audit.log, keys derived from the
-// passphrase. Sharded openers reuse it so one middleware (and one audit
-// trail) covers every shard.
-func (cfg RedisConfig) WrapConfig() WrapConfig {
-	pass := cfg.Passphrase
-	if pass == "" {
-		pass = "gdprbench-redis"
-	}
-	wc := WrapConfig{
-		Compliance:      cfg.Compliance,
-		Clock:           cfg.Clock,
-		AuditPolicy:     cfg.AuditPolicy,
-		AuditSyncAlways: cfg.AuditSyncAlways,
-		AuditRetention:  cfg.Tuning.AuditRetention,
-	}
-	if cfg.Compliance.Logging && cfg.Dir != "" {
-		wc.AuditPath = filepath.Join(cfg.Dir, "redis-audit.log")
-		if cfg.Compliance.EncryptAtRest {
-			wc.AuditKey = securefs.Key(pass + "/audit")
-		}
-	}
-	if cfg.Compliance.EncryptInTransit {
-		wc.TransitKey = securefs.Key(pass + "/transit")
-	}
-	return wc
-}
-
-// OpenRedis builds a RedisClient.
-func OpenRedis(cfg RedisConfig) (*RedisClient, error) {
-	eng, err := newKVEngine(cfg)
-	if err != nil {
-		return nil, err
-	}
-	m, err := newMiddleware(eng, cfg.WrapConfig())
-	if err != nil {
-		eng.Close()
-		return nil, err
-	}
-	return &RedisClient{middleware: m, store: eng.store}, nil
-}
-
-// NewRedisEngine builds a bare Redis-model storage engine (kvstore with
-// AOF and expiry per the compliance configuration) with no compliance
-// layer attached. The shard router composes several of these; Wrap adds
-// the middleware.
-func NewRedisEngine(cfg RedisConfig) (Engine, error) { return newKVEngine(cfg) }
-
-// Store exposes the underlying engine for experiment harnesses (expiry
-// cycle driving, AOF inspection).
-func (c *RedisClient) Store() *kvstore.Store { return c.store }
-
-var _ DB = (*RedisClient)(nil)
-
-// ---------------------------------------------------------------------------
-// kvEngine: the storage adapter
-
-// kvEngine adapts kvstore.Store to the Engine contract. It holds no
-// compliance state — records in, records out, with the Redis cost profile
-// (O(1) keyed access, O(n) attribute scans, expiry bookkeeping).
+// kvEngine deliberately implements no PutBatch, so an unsharded Redis-model
+// store is not a BatchCreator: the paper's load phase issues one command
+// per record.
 type kvEngine struct {
 	store *kvstore.Store
 }
 
-func newKVEngine(cfg RedisConfig) (*kvEngine, error) {
-	clk := cfg.Clock
-	if clk == nil {
-		clk = clock.NewReal()
-	}
-	comp := cfg.Compliance
-	pass := cfg.Passphrase
-	if pass == "" {
-		pass = "gdprbench-redis"
-	}
-
+// openKVEngine builds one kvstore (AOF at dir/redis.aof, expiry loop) per
+// the resolved o; the Redis model logs no statements of its own.
+func openKVEngine(o Options, dir string, _ *audit.Log) (Engine, error) {
+	comp := o.Compliance
 	kvCfg := kvstore.Config{
-		Clock:            clk,
+		Clock:            o.Clock,
 		MetadataIndexing: comp.MetadataIndexing,
-		Striping:         cfg.KVStripes,
-		AutoRewritePct:   cfg.Tuning.AOFRewritePct,
+		Striping:         o.KVStripes,
+		AutoRewritePct:   o.Tuning.AOFRewritePct,
 	}
 	if comp.TimelyDeletion {
 		kvCfg.ExpiryMode = kvstore.ExpiryStrict
 	}
 	if comp.Logging {
-		if cfg.Dir == "" {
+		if dir == "" {
 			return nil, fmt.Errorf("core: redis logging requires a directory")
 		}
-		kvCfg.AOFPath = filepath.Join(cfg.Dir, "redis.aof")
+		kvCfg.AOFPath = filepath.Join(dir, "redis.aof")
 		kvCfg.AOFSync = kvstore.FsyncEverySec
 		kvCfg.LogReads = true
-	}
-	if comp.EncryptAtRest && kvCfg.AOFPath != "" {
-		kvCfg.EncryptionKey = securefs.Key(pass + "/aof")
+		if comp.EncryptAtRest {
+			kvCfg.EncryptionKey = o.key("aof")
+		}
 	}
 	store, err := kvstore.Open(kvCfg)
 	if err != nil {
 		return nil, err
 	}
-	if comp.TimelyDeletion && !cfg.DisableBackgroundExpiry {
+	if comp.TimelyDeletion && !o.DisableDaemons {
 		store.StartExpiry()
 	}
 	return &kvEngine{store: store}, nil

@@ -28,10 +28,10 @@ func streamProfiles() []streamProfile {
 	openRedis := func(c Compliance, stripes int) func(t *testing.T, sim *clock.Sim) DB {
 		return func(t *testing.T, sim *clock.Sim) DB {
 			t.Helper()
-			db, err := OpenRedis(RedisConfig{
-				Dir: t.TempDir(), Compliance: c, Clock: sim, DisableBackgroundExpiry: true,
+			db, err := Open(Options{
+				Engine: "redis", Dir: t.TempDir(), Compliance: c, Clock: sim, DisableDaemons: true,
 				KVStripes: stripes,
-			})
+			}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -42,9 +42,9 @@ func streamProfiles() []streamProfile {
 	openPG := func(c Compliance) func(t *testing.T, sim *clock.Sim) DB {
 		return func(t *testing.T, sim *clock.Sim) DB {
 			t.Helper()
-			db, err := OpenPostgres(PostgresConfig{
-				Dir: t.TempDir(), Compliance: c, Clock: sim, DisableTTLDaemon: true,
-			})
+			db, err := Open(Options{
+				Engine: "postgres", Dir: t.TempDir(), Compliance: c, Clock: sim, DisableDaemons: true,
+			}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -57,14 +57,7 @@ func runMetadataIndexingGap(scale Scale) (Result, error) {
 // with the given compliance set — the shared open path for
 // microbenchmark-style experiments that isolate one cost axis.
 func openBare(engine string, comp core.Compliance) (core.DB, error) {
-	switch engine {
-	case "redis":
-		return core.OpenRedis(core.RedisConfig{Compliance: comp, DisableBackgroundExpiry: true})
-	case "postgres":
-		return core.OpenPostgres(core.PostgresConfig{Compliance: comp, DisableTTLDaemon: true})
-	default:
-		return nil, fmt.Errorf("experiments: unknown engine %q", engine)
-	}
+	return core.Open(core.Options{Engine: engine, Compliance: comp, DisableDaemons: true}, nil)
 }
 
 // attributeReadRun loads n records into a fresh in-memory engine and

@@ -75,21 +75,10 @@ func auditLeg(engine string, logging bool, policy audit.Pipeline, records, ops, 
 	}
 	defer os.RemoveAll(dir)
 	comp := core.Compliance{AccessControl: true, Strict: true, Logging: logging}
-	var db core.DB
-	switch engine {
-	case "redis":
-		db, err = core.OpenRedis(core.RedisConfig{
-			Dir: dir, Compliance: comp, DisableBackgroundExpiry: true,
-			AuditPolicy: policy, AuditSyncAlways: true,
-		})
-	case "postgres":
-		db, err = core.OpenPostgres(core.PostgresConfig{
-			Dir: dir, Compliance: comp, DisableTTLDaemon: true,
-			AuditPolicy: policy, AuditSyncAlways: true,
-		})
-	default:
-		return 0, fmt.Errorf("experiments: unknown engine %q", engine)
-	}
+	db, err := core.Open(core.Options{
+		Engine: engine, Dir: dir, Compliance: comp, DisableDaemons: true,
+		AuditPolicy: policy, AuditSyncAlways: true,
+	}, nil)
 	if err != nil {
 		return 0, err
 	}

@@ -69,11 +69,12 @@ func exportLeg(leg string, records, gets, threads int) ([]string, error) {
 		return nil, err
 	}
 	defer os.RemoveAll(dir)
-	db, err := core.OpenRedis(core.RedisConfig{
+	db, err := core.Open(core.Options{
+		Engine:     "redis",
 		Dir:        dir,
 		Compliance: core.Compliance{AccessControl: true, MetadataIndexing: true},
-		KVStripes:  4, DisableBackgroundExpiry: true,
-	})
+		KVStripes:  4, DisableDaemons: true,
+	}, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -35,15 +35,7 @@ func openClient(engine string, indexed bool) (core.DB, func(), error) {
 	}
 	comp := core.Full()
 	comp.MetadataIndexing = indexed
-	var db core.DB
-	switch engine {
-	case "redis":
-		db, err = core.OpenRedis(core.RedisConfig{Dir: dir, Compliance: comp})
-	case "postgres":
-		db, err = core.OpenPostgres(core.PostgresConfig{Dir: dir, Compliance: comp})
-	default:
-		err = fmt.Errorf("experiments: unknown engine %q", engine)
-	}
+	db, err := core.Open(core.Options{Engine: engine, Dir: dir, Compliance: comp}, nil)
 	if err != nil {
 		os.RemoveAll(dir)
 		return nil, nil, err

@@ -69,7 +69,9 @@ func shardedCustomerRun(engine string, shards int, cfg core.Config) (time.Durati
 		return 0, err
 	}
 	defer os.RemoveAll(dir)
-	db, err := shard.Open(engine, shards, dir, core.Full(), nil, false, audit.PipeBatched, 0, core.Tuning{})
+	db, err := shard.Open(core.Options{
+		Engine: engine, Shards: shards, Dir: dir, Compliance: core.Full(), AuditPolicy: audit.PipeBatched,
+	})
 	if err != nil {
 		return 0, err
 	}

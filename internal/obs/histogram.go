@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/clock"
@@ -19,100 +17,32 @@ import (
 // usable (and testable) under a frozen simulated clock.
 const windowDur = 10 * time.Second
 
-// histCore is one set of log buckets with atomic recording. Bucket geometry
-// is shared with internal/stats so percentiles agree with the benchmark
-// reports.
-type histCore struct {
-	count   atomic.Int64
-	sum     atomic.Int64
-	min     atomic.Int64 // MaxInt64 when empty
-	max     atomic.Int64
-	buckets []atomic.Int64
-}
-
-func newHistCore() *histCore {
-	c := &histCore{buckets: make([]atomic.Int64, stats.NumBuckets())}
-	c.min.Store(math.MaxInt64)
-	return c
-}
-
-func (c *histCore) record(v int64) {
-	if v < 0 {
-		v = 0
-	}
-	c.buckets[stats.BucketIndex(time.Duration(v))].Add(1)
-	c.count.Add(1)
-	c.sum.Add(v)
-	for {
-		cur := c.min.Load()
-		if v >= cur || c.min.CompareAndSwap(cur, v) {
-			break
-		}
-	}
-	for {
-		cur := c.max.Load()
-		if v <= cur || c.max.CompareAndSwap(cur, v) {
-			break
-		}
-	}
-}
-
-// percentile mirrors stats.Histogram.Percentile over the atomic buckets.
-func (c *histCore) percentile(p float64) int64 {
-	count := c.count.Load()
-	if count == 0 {
-		return 0
-	}
-	min, max := c.min.Load(), c.max.Load()
-	if p <= 0 {
-		return min
-	}
-	if p >= 100 {
-		return max
-	}
-	rank := int64(math.Ceil(p / 100 * float64(count)))
-	var seen int64
-	for b := range c.buckets {
-		seen += c.buckets[b].Load()
-		if seen >= rank {
-			v := int64(stats.BucketBound(b))
-			if v < min {
-				v = min
-			}
-			if v > max {
-				v = max
-			}
-			return v
-		}
-	}
-	return max
-}
-
 // Histogram is a concurrency-safe log-bucketed value histogram with a
 // cumulative view plus lazily rotated recency windows. Values are unitless
 // int64s — latency callers record nanoseconds, size callers record ops or
-// bytes; the series name carries the unit suffix.
+// bytes; the series name carries the unit suffix. The buckets are a
+// stats.Histogram (so percentiles agree with the benchmark reports); a
+// window is only ever asked for its observation count, so it is a counter.
 type Histogram struct {
 	clk clock.Clock
-	cum *histCore
+	cum *stats.Histogram
 
-	winMu    sync.Mutex
-	winEpoch int64
-	cur      *histCore
-	prev     *histCore
+	winMu     sync.Mutex
+	winEpoch  int64
+	cur, prev int64 // observations in the current / last completed window
 }
 
 func newHistogram(clk clock.Clock) *Histogram {
-	return &Histogram{clk: clk, cum: newHistCore(), cur: newHistCore(), prev: newHistCore()}
+	return &Histogram{clk: clk, cum: stats.NewHistogram()}
 }
 
 // Observe records one value.
 func (h *Histogram) Observe(v int64) {
-	h.cum.record(v)
+	h.cum.Record(time.Duration(v))
 	epoch := h.epochNow()
 	h.winMu.Lock()
 	h.rotateLocked(epoch)
-	h.cur.record(v)
+	h.cur++
 	h.winMu.Unlock()
 }
 
@@ -130,17 +60,16 @@ func (h *Histogram) rotateLocked(epoch int64) {
 	if epoch == h.winEpoch {
 		return
 	}
+	h.prev = 0
 	if epoch == h.winEpoch+1 {
 		h.prev = h.cur
-	} else {
-		h.prev = newHistCore()
 	}
-	h.cur = newHistCore()
+	h.cur = 0
 	h.winEpoch = epoch
 }
 
 // Count returns the cumulative observation count.
-func (h *Histogram) Count() int64 { return h.cum.count.Load() }
+func (h *Histogram) Count() int64 { return h.cum.Count() }
 
 // stat summarizes the histogram for a snapshot, rotating windows first so
 // WindowCount always describes a completed period.
@@ -148,21 +77,17 @@ func (h *Histogram) stat() HistStat {
 	epoch := h.epochNow()
 	h.winMu.Lock()
 	h.rotateLocked(epoch)
-	window := h.prev.count.Load()
+	window := h.prev
 	h.winMu.Unlock()
 
-	count := h.cum.count.Load()
-	st := HistStat{
-		Count:       count,
-		Sum:         h.cum.sum.Load(),
-		Max:         h.cum.max.Load(),
+	return HistStat{
+		Count:       h.cum.Count(),
+		Sum:         int64(h.cum.Sum()),
+		Min:         int64(h.cum.Min()),
+		Max:         int64(h.cum.Max()),
+		P50:         int64(h.cum.Percentile(50)),
+		P95:         int64(h.cum.Percentile(95)),
+		P99:         int64(h.cum.Percentile(99)),
 		WindowCount: window,
 	}
-	if count > 0 {
-		st.Min = h.cum.min.Load()
-		st.P50 = h.cum.percentile(50)
-		st.P95 = h.cum.percentile(95)
-		st.P99 = h.cum.percentile(99)
-	}
-	return st
 }

@@ -35,22 +35,22 @@ func openEmbeddedPolicy(t *testing.T, engine string, sim *clock.Sim, policy audi
 	var err error
 	switch engine {
 	case "redis":
-		db, err = core.OpenRedis(core.RedisConfig{
-			Dir: t.TempDir(), Compliance: diffComp, Clock: sim, DisableBackgroundExpiry: true,
+		db, err = core.Open(core.Options{
+			Engine: "redis", Dir: t.TempDir(), Compliance: diffComp, Clock: sim, DisableDaemons: true,
 			AuditPolicy: policy,
-		})
+		}, nil)
 	case "redis-striped":
 		// The lock-striped kvstore profile with its staged group-commit
 		// AOF; must be observably identical to "redis" over the wire.
-		db, err = core.OpenRedis(core.RedisConfig{
-			Dir: t.TempDir(), Compliance: diffComp, Clock: sim, DisableBackgroundExpiry: true,
+		db, err = core.Open(core.Options{
+			Engine: "redis", Dir: t.TempDir(), Compliance: diffComp, Clock: sim, DisableDaemons: true,
 			AuditPolicy: policy, KVStripes: 4,
-		})
+		}, nil)
 	case "postgres":
-		db, err = core.OpenPostgres(core.PostgresConfig{
-			Dir: t.TempDir(), Compliance: diffComp, Clock: sim, DisableTTLDaemon: true,
+		db, err = core.Open(core.Options{
+			Engine: "postgres", Dir: t.TempDir(), Compliance: diffComp, Clock: sim, DisableDaemons: true,
 			AuditPolicy: policy,
-		})
+		}, nil)
 	default:
 		t.Fatalf("unknown engine %q", engine)
 	}

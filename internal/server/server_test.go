@@ -19,11 +19,12 @@ import (
 func openTestDB(t *testing.T) core.DB {
 	t.Helper()
 	sim := clock.NewSim(time.Unix(1_500_000_000, 0))
-	db, err := core.OpenRedis(core.RedisConfig{
-		Compliance:              core.Compliance{AccessControl: true, Strict: true},
-		Clock:                   sim,
-		DisableBackgroundExpiry: true,
-	})
+	db, err := core.Open(core.Options{
+		Engine:         "redis",
+		Compliance:     core.Compliance{AccessControl: true, Strict: true},
+		Clock:          sim,
+		DisableDaemons: true,
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,9 @@ func diffVariants() []variant {
 	mkStriped := func(engine string, shards int, c core.Compliance, policy audit.Pipeline, kvstripes int) func(t *testing.T, sim *clock.Sim) core.DB {
 		return func(t *testing.T, sim *clock.Sim) core.DB {
 			t.Helper()
-			db, err := Open(engine, shards, t.TempDir(), c, sim, true, policy, kvstripes, core.Tuning{})
+			db, err := Open(core.Options{
+				Engine: engine, Shards: shards, Dir: t.TempDir(), Compliance: c, Clock: sim, DisableDaemons: true, AuditPolicy: policy, KVStripes: kvstripes,
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -48,9 +50,9 @@ func diffVariants() []variant {
 	return []variant{
 		{"redis", func(t *testing.T, sim *clock.Sim) core.DB {
 			t.Helper()
-			db, err := core.OpenRedis(core.RedisConfig{
-				Dir: t.TempDir(), Compliance: comp, Clock: sim, DisableBackgroundExpiry: true,
-			})
+			db, err := core.Open(core.Options{
+				Engine: "redis", Dir: t.TempDir(), Compliance: comp, Clock: sim, DisableDaemons: true,
+			}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -59,9 +61,9 @@ func diffVariants() []variant {
 		}},
 		{"postgres", func(t *testing.T, sim *clock.Sim) core.DB {
 			t.Helper()
-			db, err := core.OpenPostgres(core.PostgresConfig{
-				Dir: t.TempDir(), Compliance: idx, Clock: sim, DisableTTLDaemon: true,
-			})
+			db, err := core.Open(core.Options{
+				Engine: "postgres", Dir: t.TempDir(), Compliance: idx, Clock: sim, DisableDaemons: true,
+			}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -70,9 +72,9 @@ func diffVariants() []variant {
 		}},
 		{"redis-indexed", func(t *testing.T, sim *clock.Sim) core.DB {
 			t.Helper()
-			db, err := core.OpenRedis(core.RedisConfig{
-				Dir: t.TempDir(), Compliance: idx, Clock: sim, DisableBackgroundExpiry: true,
-			})
+			db, err := core.Open(core.Options{
+				Engine: "redis", Dir: t.TempDir(), Compliance: idx, Clock: sim, DisableDaemons: true,
+			}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,10 +92,10 @@ func diffVariants() []variant {
 		// stay byte-identical to the single-mutex baseline.
 		{"redis-striped", func(t *testing.T, sim *clock.Sim) core.DB {
 			t.Helper()
-			db, err := core.OpenRedis(core.RedisConfig{
-				Dir: t.TempDir(), Compliance: comp, Clock: sim, DisableBackgroundExpiry: true,
+			db, err := core.Open(core.Options{
+				Engine: "redis", Dir: t.TempDir(), Compliance: comp, Clock: sim, DisableDaemons: true,
 				KVStripes: 8,
-			})
+			}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -102,10 +104,10 @@ func diffVariants() []variant {
 		}},
 		{"redis-striped-indexed", func(t *testing.T, sim *clock.Sim) core.DB {
 			t.Helper()
-			db, err := core.OpenRedis(core.RedisConfig{
-				Dir: t.TempDir(), Compliance: idx, Clock: sim, DisableBackgroundExpiry: true,
+			db, err := core.Open(core.Options{
+				Engine: "redis", Dir: t.TempDir(), Compliance: idx, Clock: sim, DisableDaemons: true,
 				KVStripes: 8,
-			})
+			}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -156,7 +158,9 @@ func TestShardCountInvariantUnderExpiry(t *testing.T) {
 	comp := core.Compliance{Logging: true, AccessControl: true, Strict: true, TimelyDeletion: true}
 	run := func(engine string, shards int) (visible int, purged int) {
 		sim := clock.NewSim(time.Unix(1_500_000_000, 0))
-		db, err := Open(engine, shards, t.TempDir(), comp, sim, true, audit.PipeAsync, 0, core.Tuning{})
+		db, err := Open(core.Options{
+			Engine: engine, Shards: shards, Dir: t.TempDir(), Compliance: comp, Clock: sim, DisableDaemons: true, AuditPolicy: audit.PipeAsync,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}

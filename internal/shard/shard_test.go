@@ -32,7 +32,7 @@ func newMemRouter(t *testing.T, shards int) *Router {
 	for i := range engines {
 		var err error
 		engines[i], err = core.NewRedisEngine(core.RedisConfig{
-			Clock: clock.NewSim(time.Time{}), DisableBackgroundExpiry: true,
+			Clock: clock.NewSim(time.Time{}), DisableDaemons: true,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -170,11 +170,11 @@ func (f *failingEngine) Select(gdpr.Selector) ([]gdpr.Record, error) { return ni
 func (f *failingEngine) SelectKeys(gdpr.Selector) ([]string, error)  { return nil, errBroken }
 
 func TestRouterAggregatesPerShardErrors(t *testing.T) {
-	good, err := core.NewRedisEngine(core.RedisConfig{Clock: clock.NewSim(time.Time{}), DisableBackgroundExpiry: true})
+	good, err := core.NewRedisEngine(core.RedisConfig{Clock: clock.NewSim(time.Time{}), DisableDaemons: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad, err := core.NewRedisEngine(core.RedisConfig{Clock: clock.NewSim(time.Time{}), DisableBackgroundExpiry: true})
+	bad, err := core.NewRedisEngine(core.RedisConfig{Clock: clock.NewSim(time.Time{}), DisableDaemons: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestNewRejectsEmpty(t *testing.T) {
 	if _, err := New(nil); err == nil {
 		t.Fatal("empty router should fail")
 	}
-	if _, err := OpenRedis(0, core.RedisConfig{}); err == nil {
+	if _, err := Open(core.Options{Engine: "redis"}); err == nil {
 		t.Fatal("0 shards should fail")
 	}
 }
@@ -213,7 +213,7 @@ func TestNewRejectsEmpty(t *testing.T) {
 // (the paper's one-command-per-record load shape).
 func TestShardedClientsImplementBatchCreator(t *testing.T) {
 	sim := clock.NewSim(time.Time{})
-	sharded, err := OpenRedis(2, core.RedisConfig{Clock: sim, DisableBackgroundExpiry: true})
+	sharded, err := Open(core.Options{Engine: "redis", Shards: 2, Clock: sim, DisableDaemons: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestShardedClientsImplementBatchCreator(t *testing.T) {
 	if _, ok := sharded.(core.BatchCreator); !ok {
 		t.Fatal("sharded redis DB must implement BatchCreator")
 	}
-	plain, err := core.OpenRedis(core.RedisConfig{Clock: sim, DisableBackgroundExpiry: true})
+	plain, err := core.Open(core.Options{Engine: "redis", Clock: sim, DisableDaemons: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,9 @@ func TestShardedCorrectnessOracle(t *testing.T) {
 			sim := clock.NewSim(time.Time{})
 			cfg := core.Config{Records: 300, Operations: 200, Threads: 2, Seed: 7}.WithDefaults()
 			open := func() (core.DB, *core.Dataset, error) {
-				db, err := Open(tc.engine, tc.shards, t.TempDir(), core.Full(), sim, true, audit.PipeAsync, 0, core.Tuning{})
+				db, err := Open(core.Options{
+					Engine: tc.engine, Shards: tc.shards, Dir: t.TempDir(), Compliance: core.Full(), Clock: sim, DisableDaemons: true, AuditPolicy: audit.PipeAsync,
+				})
 				if err != nil {
 					return nil, nil, err
 				}
@@ -275,7 +277,9 @@ func TestShardedWorkloadsRun(t *testing.T) {
 	sim := clock.NewSim(time.Time{})
 	cfg := core.Config{Records: 300, Operations: 150, Threads: 4, Seed: 5}.WithDefaults()
 	for _, engine := range []string{"redis", "postgres"} {
-		db, err := Open(engine, 3, t.TempDir(), core.Full(), sim, true, audit.PipeBatched, 0, core.Tuning{})
+		db, err := Open(core.Options{
+			Engine: engine, Shards: 3, Dir: t.TempDir(), Compliance: core.Full(), Clock: sim, DisableDaemons: true, AuditPolicy: audit.PipeBatched,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -306,7 +310,9 @@ func TestShardedRedisPersistsAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
 	sim := clock.NewSim(time.Time{})
 	cfg := core.Config{Records: 60, Operations: 5, Threads: 1, Seed: 3}.WithDefaults()
-	db, err := Open("redis", 3, dir, core.Full(), sim, true, audit.PipeAsync, 0, core.Tuning{})
+	db, err := Open(core.Options{
+		Engine: "redis", Shards: 3, Dir: dir, Compliance: core.Full(), Clock: sim, DisableDaemons: true, AuditPolicy: audit.PipeAsync,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +323,9 @@ func TestShardedRedisPersistsAcrossReopen(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	db2, err := Open("redis", 3, dir, core.Full(), sim, true, audit.PipeAsync, 0, core.Tuning{})
+	db2, err := Open(core.Options{
+		Engine: "redis", Shards: 3, Dir: dir, Compliance: core.Full(), Clock: sim, DisableDaemons: true, AuditPolicy: audit.PipeAsync,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,9 @@ func TestShardStreamingTranscriptMatchesMaterialized(t *testing.T) {
 		t.Run(v.name, func(t *testing.T) {
 			run := func(chunk int, streamed bool) []string {
 				sim := clock.NewSim(time.Unix(1_500_000_000, 0))
-				db, err := Open(v.engine, v.shards, t.TempDir(), v.comp, sim, true, audit.PipeSync, v.kvstripes, core.Tuning{})
+				db, err := Open(core.Options{
+					Engine: v.engine, Shards: v.shards, Dir: t.TempDir(), Compliance: v.comp, Clock: sim, DisableDaemons: true, AuditPolicy: audit.PipeSync, KVStripes: v.kvstripes,
+				})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -70,7 +72,9 @@ func TestShardStreamCloseMidStream(t *testing.T) {
 	cfg := core.Config{Records: 400, Seed: 8}.WithDefaults()
 	sim := clock.NewSim(time.Unix(1_500_000_000, 0))
 	comp := core.Compliance{AccessControl: true, Strict: true, MetadataIndexing: true}
-	db, err := Open("redis", 4, t.TempDir(), comp, sim, true, audit.PipeSync, 2, core.Tuning{})
+	db, err := Open(core.Options{
+		Engine: "redis", Shards: 4, Dir: t.TempDir(), Compliance: comp, Clock: sim, DisableDaemons: true, AuditPolicy: audit.PipeSync, KVStripes: 2,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -19,20 +20,26 @@ const (
 	bucketCount      = 14 * bucketsPerDecade
 )
 
-// Histogram is a fixed-size log-bucketed latency histogram. It is safe for
-// concurrent use.
+// Histogram is a fixed-size log-bucketed histogram, safe for concurrent
+// use without a lock: every field is an atomic, so Record costs a handful
+// of uncontended atomic adds. It is the one bucket implementation of the
+// repo — the benchmark reports read it directly and internal/obs builds
+// its windowed metric histograms out of several. A reader racing writers
+// sees each field at some recent value, not one consistent cut; reports
+// read after the run has finished.
 type Histogram struct {
-	mu      sync.Mutex
-	buckets [bucketCount]int64
-	count   int64
-	sum     time.Duration
-	min     time.Duration
-	max     time.Duration
+	buckets [bucketCount]atomic.Int64
+	count   atomic.Int64
+	sum     atomic.Int64
+	min     atomic.Int64 // MaxInt64 when empty
+	max     atomic.Int64
 }
 
 // NewHistogram returns an empty histogram.
 func NewHistogram() *Histogram {
-	return &Histogram{min: math.MaxInt64}
+	h := &Histogram{}
+	h.min.Store(math.MaxInt64)
+	return h
 }
 
 func bucketFor(d time.Duration) int {
@@ -53,134 +60,97 @@ func bucketValue(b int) time.Duration {
 	return time.Duration(math.Pow(10, float64(b)/bucketsPerDecade))
 }
 
-// NumBuckets reports the number of log buckets a Histogram carries. It is
-// exported so other histogram implementations (internal/obs) can reuse the
-// exact bucket geometry and stay percentile-compatible with the benchmark
-// reports.
-func NumBuckets() int { return bucketCount }
-
-// BucketIndex returns the bucket an observation of magnitude d falls into.
-func BucketIndex(d time.Duration) int { return bucketFor(d) }
-
-// BucketBound returns the representative magnitude of bucket b.
-func BucketBound(b int) time.Duration { return bucketValue(b) }
-
 // Record adds one observation.
 func (h *Histogram) Record(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	h.mu.Lock()
-	h.buckets[bucketFor(d)]++
-	h.count++
-	h.sum += d
-	if d < h.min {
-		h.min = d
+	h.buckets[bucketFor(d)].Add(1)
+	h.count.Add(1)
+	h.sum.Add(int64(d))
+	h.widen(int64(d), int64(d))
+}
+
+// widen stretches the observed range to include [lo, hi].
+func (h *Histogram) widen(lo, hi int64) {
+	for {
+		cur := h.min.Load()
+		if lo >= cur || h.min.CompareAndSwap(cur, lo) {
+			break
+		}
 	}
-	if d > h.max {
-		h.max = d
+	for {
+		cur := h.max.Load()
+		if hi <= cur || h.max.CompareAndSwap(cur, hi) {
+			break
+		}
 	}
-	h.mu.Unlock()
 }
 
 // Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
+func (h *Histogram) Count() int64 { return h.count.Load() }
 
 // Sum returns the total of all observations.
-func (h *Histogram) Sum() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
+func (h *Histogram) Sum() time.Duration { return time.Duration(h.sum.Load()) }
 
 // Mean returns the average observation, or 0 if empty.
 func (h *Histogram) Mean() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
+	n := h.count.Load()
+	if n == 0 {
 		return 0
 	}
-	return h.sum / time.Duration(h.count)
+	return time.Duration(h.sum.Load() / n)
 }
 
 // Min returns the smallest observation, or 0 if empty.
 func (h *Histogram) Min() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
+	if h.count.Load() == 0 {
 		return 0
 	}
-	return h.min
+	return time.Duration(h.min.Load())
 }
 
 // Max returns the largest observation, or 0 if empty.
-func (h *Histogram) Max() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.max
-}
+func (h *Histogram) Max() time.Duration { return time.Duration(h.max.Load()) }
 
 // Percentile returns the approximate p-th percentile (p in [0,100]).
 func (h *Histogram) Percentile(p float64) time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
+	count := h.count.Load()
+	if count == 0 {
 		return 0
 	}
+	lo, hi := time.Duration(h.min.Load()), time.Duration(h.max.Load())
 	if p <= 0 {
-		return h.min
+		return lo
 	}
 	if p >= 100 {
-		return h.max
+		return hi
 	}
-	rank := int64(math.Ceil(p / 100 * float64(h.count)))
+	rank := int64(math.Ceil(p / 100 * float64(count)))
 	var seen int64
-	for b := 0; b < bucketCount; b++ {
-		seen += h.buckets[b]
+	for b := range h.buckets {
+		seen += h.buckets[b].Load()
 		if seen >= rank {
-			v := bucketValue(b)
-			if v < h.min {
-				v = h.min
-			}
-			if v > h.max {
-				v = h.max
-			}
-			return v
+			return min(max(bucketValue(b), lo), hi)
 		}
 	}
-	return h.max
+	return hi
 }
 
 // Merge adds all observations of other into h.
 func (h *Histogram) Merge(other *Histogram) {
-	other.mu.Lock()
-	var snapshot Histogram
-	snapshot.buckets = other.buckets
-	snapshot.count = other.count
-	snapshot.sum = other.sum
-	snapshot.min = other.min
-	snapshot.max = other.max
-	other.mu.Unlock()
-
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for i, c := range snapshot.buckets {
-		h.buckets[i] += c
+	n := other.count.Load()
+	if n == 0 {
+		return
 	}
-	h.count += snapshot.count
-	h.sum += snapshot.sum
-	if snapshot.count > 0 {
-		if snapshot.min < h.min {
-			h.min = snapshot.min
-		}
-		if snapshot.max > h.max {
-			h.max = snapshot.max
+	for b := range other.buckets {
+		if c := other.buckets[b].Load(); c != 0 {
+			h.buckets[b].Add(c)
 		}
 	}
+	h.count.Add(n)
+	h.sum.Add(other.sum.Load())
+	h.widen(other.min.Load(), other.max.Load())
 }
 
 // OpStats accumulates results for a single operation type.
