@@ -815,11 +815,11 @@ func BenchmarkKvstoreLocking(b *testing.B) {
 	}
 }
 
-// BenchmarkWireAlloc measures per-frame allocations through the wire
-// codec: the pooled path (per-connection Encoder/Decoder reusing their
-// buffers across frames, as server and remote connections do) against
-// the package-level per-call path. Legs cover a small point-read
-// request and a 10-record Records response.
+// BenchmarkWireAlloc measures per-frame cost through the wire codec's
+// per-connection Encoder/Decoder, which reuse their buffers across
+// frames as server and remote connections do. Legs cover a small
+// point-read request and a 10-record Records response;
+// internal/wire's TestPooledCodecAllocs pins their allocation counts.
 func BenchmarkWireAlloc(b *testing.B) {
 	rec := mustRecord(b)
 	frames := []struct {
@@ -851,20 +851,6 @@ func BenchmarkWireAlloc(b *testing.B) {
 					b.Fatal(err)
 				}
 				if _, err := dec.ReadMessage(&buf); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("percall/"+f.name, func(b *testing.B) {
-			var buf bytes.Buffer
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				buf.Reset()
-				if err := wire.WriteMessage(&buf, f.msg); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := wire.ReadMessage(&buf); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -267,13 +267,20 @@ func Replace(tmp, live string) error {
 	if err := os.Rename(tmp, live); err != nil {
 		return fmt.Errorf("securefs: replace %s: %w", live, err)
 	}
-	dir, err := os.Open(filepath.Dir(live))
-	if err != nil {
-		return fmt.Errorf("securefs: replace %s: %w", live, err)
+	return SyncDir(filepath.Dir(live))
+}
+
+// SyncDir fsyncs directory dir, making the renames and file creations in
+// it durable: until then a crash can undo them even when the files' own
+// contents are on disk.
+func SyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err == nil {
+		err = d.Sync()
+		d.Close()
 	}
-	defer dir.Close()
-	if err := dir.Sync(); err != nil {
-		return fmt.Errorf("securefs: replace %s: sync directory: %w", live, err)
+	if err != nil {
+		return fmt.Errorf("securefs: sync directory %s: %w", dir, err)
 	}
 	return nil
 }

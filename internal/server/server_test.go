@@ -46,9 +46,11 @@ func startServer(t *testing.T, db core.DB, cfg Config) (*Server, string) {
 // rawConn speaks the wire protocol directly, bypassing the remote
 // client, to exercise server-side protocol enforcement.
 type rawConn struct {
-	nc net.Conn
-	br *bufio.Reader
-	t  *testing.T
+	nc  net.Conn
+	br  *bufio.Reader
+	enc wire.Encoder
+	dec wire.Decoder
+	t   *testing.T
 }
 
 func dialRaw(t *testing.T, addr string) *rawConn {
@@ -63,7 +65,7 @@ func dialRaw(t *testing.T, addr string) *rawConn {
 
 func (c *rawConn) send(m wire.Message) {
 	c.t.Helper()
-	if err := wire.WriteMessage(c.nc, m); err != nil {
+	if err := c.enc.WriteMessage(c.nc, m); err != nil {
 		c.t.Fatal(err)
 	}
 }
@@ -71,7 +73,7 @@ func (c *rawConn) send(m wire.Message) {
 func (c *rawConn) recv() wire.Message {
 	c.t.Helper()
 	c.nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-	m, err := wire.ReadMessage(c.br)
+	m, err := c.dec.ReadMessage(c.br)
 	if err != nil {
 		c.t.Fatal(err)
 	}
@@ -231,8 +233,8 @@ func TestGracefulDrainAnswersInFlight(t *testing.T) {
 		// definitive check is that a handshake gets no response.
 		c2 := dialRaw(t, slowAddr)
 		c2.nc.SetReadDeadline(time.Now().Add(time.Second))
-		if err := wire.WriteMessage(c2.nc, &wire.Hello{Version: wire.ProtocolVersion, Role: acl.Controller}); err == nil {
-			if _, err := wire.ReadMessage(bufio.NewReader(c2.nc)); err == nil {
+		if err := c2.enc.WriteMessage(c2.nc, &wire.Hello{Version: wire.ProtocolVersion, Role: acl.Controller}); err == nil {
+			if _, err := c2.dec.ReadMessage(c2.br); err == nil {
 				t.Fatal("server still answering after Close")
 			}
 		}
@@ -254,7 +256,7 @@ func TestMalformedFrameClosesConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.nc.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, err := wire.ReadMessage(c.br); err == nil {
+	if _, err := c.dec.ReadMessage(c.br); err == nil {
 		t.Fatal("server answered a malformed frame")
 	}
 	// The server itself survives: a fresh connection works.

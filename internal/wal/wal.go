@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -79,7 +80,11 @@ const (
 	// concurrent committers into one fsync (group commit), so N writers
 	// pay ~1 fsync instead of N.
 	SyncOnCommit SyncPolicy = iota
-	// SyncBatched fsyncs at most once per second (off/local semantics).
+	// SyncBatched fsyncs at most once per second (off/local semantics):
+	// Append never syncs; a background flusher — PostgreSQL's walwriter —
+	// syncs what was appended since the last sync once per WAL-clock
+	// second, so an acknowledged commit reaches disk even when no later
+	// Append comes.
 	SyncBatched
 	// SyncNever leaves flushing to the OS.
 	SyncNever
@@ -93,7 +98,8 @@ type Config struct {
 	Key []byte
 	// Policy is the sync policy; default SyncBatched.
 	Policy SyncPolicy
-	// Clock supplies time for batched syncs; defaults to the real clock.
+	// Clock paces the SyncBatched flusher and times fsyncs; defaults to
+	// the real clock.
 	Clock clock.Clock
 }
 
@@ -109,22 +115,25 @@ type Config struct {
 // is group commit: under concurrency the fsync cost amortizes across all
 // in-flight commits instead of serializing per record.
 type WAL struct {
-	mu       sync.Mutex
-	file     *securefs.File
-	path     string
-	key      []byte
-	nextLSN  uint64
-	policy   SyncPolicy
-	clk      clock.Clock
-	lastSync time.Time
-	closed   bool
-	buf      []byte
+	mu      sync.Mutex
+	file    *securefs.File
+	path    string
+	key     []byte
+	nextLSN uint64
+	policy  SyncPolicy
+	clk     clock.Clock
+	closed  bool
+	buf     []byte
 
 	// syncMu serializes fsyncs; the queue that forms on it is the group-
 	// commit batch. durable is the highest LSN known to be on stable
 	// storage.
 	syncMu  sync.Mutex
 	durable atomic.Uint64
+
+	// stop ends the SyncBatched idle flusher, which closes stopped on
+	// exit; both are nil under the other policies.
+	stop, stopped chan struct{}
 }
 
 // groupGatherYields is how many scheduler yields a batch leader performs
@@ -148,7 +157,33 @@ func Open(cfg Config, lastLSN uint64) (*WAL, error) {
 	if clk == nil {
 		clk = clock.NewReal()
 	}
-	return &WAL{file: f, path: cfg.Path, key: cfg.Key, nextLSN: lastLSN + 1, policy: cfg.Policy, clk: clk, lastSync: clk.Now()}, nil
+	w := &WAL{file: f, path: cfg.Path, key: cfg.Key, nextLSN: lastLSN + 1, policy: cfg.Policy, clk: clk}
+	if w.policy == SyncBatched {
+		w.stop, w.stopped = make(chan struct{}), make(chan struct{})
+		go w.flushIdle()
+	}
+	return w, nil
+}
+
+// flushIdle is SyncBatched's only sync path: once per WAL-clock second it
+// syncs the records appended since the last sync, off every writer's
+// lock. A failed sync has no caller to report to; the records stay above
+// the durable watermark and the next second tries again.
+func (w *WAL) flushIdle() {
+	defer close(w.stopped)
+	for {
+		select {
+		case <-w.stop:
+			return
+		case <-w.clk.After(time.Second):
+		}
+		w.mu.Lock()
+		dirty := w.durable.Load() < w.nextLSN-1
+		w.mu.Unlock()
+		if dirty {
+			_ = w.Sync()
+		}
+	}
 }
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -182,17 +217,9 @@ func (w *WAL) Append(t RecordType, payload []byte) (uint64, error) {
 	if err := w.file.AppendFrame(w.buf); err != nil {
 		return 0, err
 	}
-	// SyncOnCommit does not sync here: the committer calls WaitDurable,
-	// which batches concurrent commits into one fsync.
-	if w.policy == SyncBatched {
-		if now := w.clk.Now(); now.Sub(w.lastSync) >= time.Second {
-			if err := w.file.Sync(); err != nil {
-				return 0, err
-			}
-			w.lastSync = now
-			w.advanceDurable(lsn)
-		}
-	}
+	// No policy syncs here: a SyncOnCommit committer calls WaitDurable,
+	// which batches concurrent commits into one fsync, and SyncBatched
+	// leaves it to flushIdle.
 	return lsn, nil
 }
 
@@ -251,7 +278,6 @@ func (w *WAL) WaitDurable(lsn uint64) error {
 	}
 	target := w.nextLSN - 1
 	start := w.clk.Now()
-	w.lastSync = start
 	w.mu.Unlock()
 	batch := int64(target - w.durable.Load())
 	if err := w.syncFile(); err != nil {
@@ -276,7 +302,6 @@ func (w *WAL) Sync() error {
 		return nil
 	}
 	target := w.nextLSN - 1
-	w.lastSync = w.clk.Now()
 	w.mu.Unlock()
 	if err := w.syncFile(); err != nil {
 		return err
@@ -316,12 +341,29 @@ func (w *WAL) Rotate() (cut uint64, err error) {
 	// hold the old file handle across the swap.
 	w.syncMu.Lock()
 	defer w.syncMu.Unlock()
+	if cut, err = w.swapFile(); err != nil {
+		return 0, err
+	}
+	// Make the rename and the new live file durable before any fsync into
+	// the new file can count: a crash that undid them would lose those
+	// records. syncMu alone holds off every such fsync (WaitDurable, Sync
+	// and the flusher all take it first), so appenders go on meanwhile.
+	if err := securefs.SyncDir(filepath.Dir(w.path)); err != nil {
+		return 0, err
+	}
+	return cut, nil
+}
+
+// swapFile is Rotate's w.mu-held part: it fsyncs and closes the live
+// file, renames it to path+RotatedSuffix, opens a fresh one in its place
+// and returns the last LSN of the old one. The caller holds syncMu.
+func (w *WAL) swapFile() (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
 		return 0, errors.New("wal: rotate on closed WAL")
 	}
-	cut = w.nextLSN - 1
+	cut := w.nextLSN - 1
 	if err := w.file.Sync(); err != nil {
 		return 0, err
 	}
@@ -336,20 +378,26 @@ func (w *WAL) Rotate() (cut uint64, err error) {
 		return 0, err
 	}
 	w.file = nf
-	w.lastSync = w.clk.Now()
 	// Everything in the rotated segment was fsynced above.
 	w.advanceDurable(cut)
 	return cut, nil
 }
 
-// Close flushes and closes the WAL. Close is idempotent.
+// Close stops the idle flusher, then flushes and closes the WAL. Close
+// is idempotent.
 func (w *WAL) Close() error {
 	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.closed {
+		w.mu.Unlock()
 		return nil
 	}
 	w.closed = true
+	w.mu.Unlock()
+	if w.stop != nil {
+		// Unlocked: the flusher's Sync takes w.mu.
+		close(w.stop)
+		<-w.stopped
+	}
 	return w.file.Close()
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -236,6 +237,45 @@ func TestBatchedSyncPolicy(t *testing.T) {
 	}
 }
 
+// TestIdleBatchedWALFlush pins SyncBatched's idle flush: an acknowledged
+// erasure reaches disk within a WAL-clock second even when no later
+// Append comes to sync it.
+func TestIdleBatchedWALFlush(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "idle.wal")
+	sim := clock.NewSim(time.Unix(1_500_000_000, 0))
+	w, err := Open(Config{Path: path, Policy: SyncBatched, Clock: sim}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	lsn, err := w.Append(RecDelete, EncodeKV("records", "erase-me", nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Only the clock moves from here. The flush timer is armed
+	// asynchronously, so step a second at a time until it has fired.
+	deadline := time.Now().Add(2 * time.Second)
+	for w.DurableLSN() < lsn && time.Now().Before(deadline) {
+		sim.Advance(time.Second)
+		time.Sleep(time.Millisecond)
+	}
+	if got := w.DurableLSN(); got < lsn {
+		t.Errorf("idle WAL was never synced (durable LSN %d < %d)", got, lsn)
+	}
+	deletes := 0
+	if _, err := Replay(path, nil, func(r Record) error {
+		if r.Type == RecDelete {
+			deletes++
+		}
+		return nil
+	}); err != nil {
+		t.Fatalf("read WAL from disk: %v", err)
+	}
+	if deletes != 1 {
+		t.Fatalf("acknowledged delete is not in the on-disk WAL after an idle second (%d found)", deletes)
+	}
+}
+
 func TestSizeGrows(t *testing.T) {
 	w, _ := openTemp(t, SyncNever)
 	s0, err := w.Size()
@@ -282,36 +322,63 @@ func TestKVPayloadDecodeErrors(t *testing.T) {
 	}
 }
 
+// TestConcurrentAppends also runs SyncBatched under a running clock, so
+// its idle flusher syncs beside the appenders and Close stops it
+// mid-flight.
 func TestConcurrentAppends(t *testing.T) {
-	w, path := openTemp(t, SyncNever)
-	var wg sync.WaitGroup
-	const workers, per = 8, 100
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
+	for _, policy := range []SyncPolicy{SyncNever, SyncBatched} {
+		path := filepath.Join(t.TempDir(), "test.wal")
+		sim := clock.NewSim(time.Time{})
+		w, err := Open(Config{Path: path, Policy: policy, Clock: sim}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stop, stopped := make(chan struct{}), make(chan struct{})
 		go func() {
-			defer wg.Done()
-			for j := 0; j < per; j++ {
-				if _, err := w.Append(RecInsert, []byte("c")); err != nil {
-					t.Error(err)
+			defer close(stopped)
+			for {
+				select {
+				case <-stop:
 					return
+				default:
+					sim.Advance(100 * time.Millisecond)
+					runtime.Gosched()
 				}
 			}
 		}()
-	}
-	wg.Wait()
-	w.Close()
-	seen := map[uint64]bool{}
-	if _, err := Replay(path, nil, func(r Record) error {
-		if seen[r.LSN] {
-			return fmt.Errorf("duplicate LSN %d", r.LSN)
+		var wg sync.WaitGroup
+		const workers, per = 8, 100
+		for i := 0; i < workers; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for j := 0; j < per; j++ {
+					if _, err := w.Append(RecInsert, []byte("c")); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
 		}
-		seen[r.LSN] = true
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != workers*per {
-		t.Fatalf("records = %d", len(seen))
+		wg.Wait()
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		close(stop)
+		<-stopped
+		seen := map[uint64]bool{}
+		if _, err := Replay(path, nil, func(r Record) error {
+			if seen[r.LSN] {
+				return fmt.Errorf("duplicate LSN %d", r.LSN)
+			}
+			seen[r.LSN] = true
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if len(seen) != workers*per {
+			t.Fatalf("policy %d: records = %d", policy, len(seen))
+		}
 	}
 }
 

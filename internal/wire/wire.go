@@ -13,6 +13,8 @@
 // minimal-length varints, length-prefixed strings, one-byte booleans and
 // time-presence flags — so decode(encode(m)) == m and encode(decode(b))
 // == b hold for every accepted frame (the FuzzWireRoundTrip property).
+// Each message type spells its field layout once, in a code method the
+// codec runs in either direction, so the two cannot drift apart.
 // Requests carry the acting GDPR entity; responses carry either the
 // §3.3 result shape or a structured error that reconstructs the
 // server-side error value (access denials stay typed across the wire,
@@ -111,133 +113,61 @@ func (e *FrameError) Error() string { return "wire: " + e.Reason }
 type Message interface {
 	// Op returns the frame opcode.
 	Op() Op
-	encode(w *writer)
-	decode(r *reader)
+	// code is the message's one field layout: it runs the fields, in
+	// wire order, through a codec that either appends or reads them.
+	code(c *codec)
 }
 
-// newMessage returns a zero message for op, or nil for unknown opcodes.
-func newMessage(op Op) Message {
-	switch op {
-	case OpHello:
-		return &Hello{}
-	case OpCreateRecord:
-		return &CreateRecord{}
-	case OpCreateBatch:
-		return &CreateBatch{}
-	case OpReadData:
-		return &ReadData{}
-	case OpReadMetadata:
-		return &ReadMetadata{}
-	case OpUpdateData:
-		return &UpdateData{}
-	case OpUpdateMetadata:
-		return &UpdateMetadata{}
-	case OpDeleteRecord:
-		return &DeleteRecord{}
-	case OpGetLogs:
-		return &GetLogs{}
-	case OpGetFeatures:
-		return &GetFeatures{}
-	case OpVerifyDeletion:
-		return &VerifyDeletion{}
-	case OpSpaceUsage:
-		return &SpaceUsage{}
-	case OpHelloOK:
-		return &HelloOK{}
-	case OpAck:
-		return &Ack{}
-	case OpRecords:
-		return &Records{}
-	case OpCount:
-		return &Count{}
-	case OpLogEntries:
-		return &LogEntries{}
-	case OpFeatures:
-		return &Features{}
-	case OpSpace:
-		return &Space{}
-	case OpError:
-		return &ErrorResp{}
-	case OpMetrics:
-		return &Metrics{}
-	case OpMetricsResp:
-		return &MetricsResp{}
-	case OpSelectStream:
-		return &SelectStream{}
-	case OpStreamNext:
-		return &StreamNext{}
-	case OpStreamClose:
-		return &StreamClose{}
-	case OpStreamOpened:
-		return &StreamOpened{}
-	case OpStreamChunk:
-		return &StreamChunk{}
-	default:
-		return nil
-	}
+// newMessage holds a zero-message constructor per opcode; a nil entry
+// is an unknown opcode.
+var newMessage = [opEnd]func() Message{
+	OpHello: zero[Hello], OpCreateRecord: zero[CreateRecord], OpCreateBatch: zero[CreateBatch],
+	OpReadData: zero[ReadData], OpReadMetadata: zero[ReadMetadata],
+	OpUpdateData: zero[UpdateData], OpUpdateMetadata: zero[UpdateMetadata],
+	OpDeleteRecord: zero[DeleteRecord], OpGetLogs: zero[GetLogs], OpGetFeatures: zero[GetFeatures],
+	OpVerifyDeletion: zero[VerifyDeletion], OpSpaceUsage: zero[SpaceUsage],
+	OpHelloOK: zero[HelloOK], OpAck: zero[Ack], OpRecords: zero[Records], OpCount: zero[Count],
+	OpLogEntries: zero[LogEntries], OpFeatures: zero[Features], OpSpace: zero[Space],
+	OpError: zero[ErrorResp], OpMetrics: zero[Metrics], OpMetricsResp: zero[MetricsResp],
+	OpSelectStream: zero[SelectStream], OpStreamNext: zero[StreamNext], OpStreamClose: zero[StreamClose],
+	OpStreamOpened: zero[StreamOpened], OpStreamChunk: zero[StreamChunk],
 }
 
-// Encode renders m as one complete frame.
-func Encode(m Message) []byte {
-	return AppendEncode(make([]byte, 0, 64), m)
+// zero returns a new zero T as a Message.
+func zero[T any, P interface {
+	*T
+	Message
+}]() Message {
+	return P(new(T))
 }
 
 // AppendEncode appends m's complete frame to buf and returns the
-// extended slice (the frame starts at the caller's len(buf)). This is
-// the allocation-free encode primitive: Encoder reuses one buffer
-// across frames, so steady-state encoding allocates nothing beyond
-// occasional buffer growth.
+// extended slice (the frame starts at the caller's len(buf)).
 func AppendEncode(buf []byte, m Message) []byte {
-	start := len(buf)
-	w := writer{buf: append(buf, 0, 0, 0, 0, byte(m.Op()))}
-	m.encode(&w)
-	binary.BigEndian.PutUint32(w.buf[start:start+4], uint32(len(w.buf)-start-4))
-	return w.buf
-}
-
-// WriteMessage frames and writes m. A message that encodes beyond
-// MaxFrameSize is rejected with a *FrameError before any byte is
-// written, so the connection stays usable — the peer would drop the
-// whole session on an oversized frame, turning one bad request into a
-// failure of every in-flight operation.
-func WriteMessage(out io.Writer, m Message) error {
-	buf := AppendEncode(pool.GetBytes(64)[:0], m)
-	defer pool.PutBytes(buf)
-	if len(buf)-4 > MaxFrameSize {
-		return &FrameError{fmt.Sprintf("%v frame of %d bytes exceeds the %d-byte limit", m.Op(), len(buf)-4, MaxFrameSize)}
-	}
-	_, err := out.Write(buf)
-	return err
+	c := codec{buf: buf}
+	c.frame(m)
+	return c.buf
 }
 
 // An Encoder frames and writes messages through one persistent buffer,
 // so a long-lived connection (server handler, remote client) encodes
 // every frame allocation-free once the buffer has grown to its working
 // size. Not safe for concurrent use; callers serialize per connection.
-type Encoder struct{ w writer }
+type Encoder struct{ c codec }
 
-// WriteMessage frames and writes m, reusing the encoder's buffer. The
-// oversize check runs after encode and before any byte is written —
-// same contract as the package-level WriteMessage.
+// WriteMessage frames and writes m, reusing the encoder's buffer. A
+// message that encodes beyond MaxFrameSize is rejected with a
+// *FrameError before any byte is written, so the connection stays
+// usable — the peer would drop the whole session on an oversized frame,
+// turning one bad request into a failure of every in-flight operation.
 func (e *Encoder) WriteMessage(out io.Writer, m Message) error {
-	e.w.buf = append(e.w.buf[:0], 0, 0, 0, 0, byte(m.Op()))
-	m.encode(&e.w)
-	binary.BigEndian.PutUint32(e.w.buf[:4], uint32(len(e.w.buf)-4))
-	if len(e.w.buf)-4 > MaxFrameSize {
-		return &FrameError{fmt.Sprintf("%v frame of %d bytes exceeds the %d-byte limit", m.Op(), len(e.w.buf)-4, MaxFrameSize)}
+	e.c.buf = e.c.buf[:0]
+	e.c.frame(m)
+	if n := len(e.c.buf) - 4; n > MaxFrameSize {
+		return &FrameError{fmt.Sprintf("%v frame of %d bytes exceeds the %d-byte limit", m.Op(), n, MaxFrameSize)}
 	}
-	_, err := out.Write(e.w.buf)
+	_, err := out.Write(e.c.buf)
 	return err
-}
-
-// ReadMessage reads and decodes one frame. Truncated frames surface as
-// io.EOF / io.ErrUnexpectedEOF; malformed or oversized ones as a
-// *FrameError.
-func ReadMessage(in io.Reader) (Message, error) {
-	var d Decoder
-	m, err := d.ReadMessage(in)
-	pool.PutBytes(d.buf)
-	return m, err
 }
 
 // A Decoder reads and decodes frames through one persistent buffer.
@@ -246,11 +176,12 @@ func ReadMessage(in io.Reader) (Message, error) {
 // Not safe for concurrent use; callers serialize per connection.
 type Decoder struct {
 	buf []byte
-	r   reader
+	c   codec
 }
 
 // ReadMessage reads and decodes one frame, reusing the decoder's
-// buffer. Error surface matches the package-level ReadMessage.
+// buffer. Truncated frames surface as io.EOF / io.ErrUnexpectedEOF;
+// malformed or oversized ones as a *FrameError.
 func (d *Decoder) ReadMessage(in io.Reader) (Message, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(in, hdr[:]); err != nil {
@@ -274,17 +205,17 @@ func (d *Decoder) ReadMessage(in io.Reader) (Message, error) {
 		}
 		return nil, err
 	}
-	m := newMessage(Op(buf[0]))
-	if m == nil {
+	if buf[0] >= byte(opEnd) || newMessage[buf[0]] == nil {
 		return nil, &FrameError{fmt.Sprintf("unknown opcode %d", buf[0])}
 	}
-	d.r = reader{buf: buf[1:]}
-	m.decode(&d.r)
-	if d.r.err != nil {
-		return nil, fmt.Errorf("wire: decode %v: %w", m.Op(), d.r.err)
+	m := newMessage[buf[0]]()
+	d.c = codec{buf: buf[1:], decoding: true}
+	m.code(&d.c)
+	if d.c.err != nil {
+		return nil, fmt.Errorf("wire: decode %v: %w", m.Op(), d.c.err)
 	}
-	if d.r.off != len(d.r.buf) {
-		return nil, &FrameError{fmt.Sprintf("%v frame has %d trailing bytes", m.Op(), len(d.r.buf)-d.r.off)}
+	if d.c.off != len(d.c.buf) {
+		return nil, &FrameError{fmt.Sprintf("%v frame has %d trailing bytes", m.Op(), len(d.c.buf)-d.c.off)}
 	}
 	return m, nil
 }
@@ -292,259 +223,226 @@ func (d *Decoder) ReadMessage(in io.Reader) (Message, error) {
 // ---------------------------------------------------------------------------
 // Canonical payload codec
 
-type writer struct{ buf []byte }
+// A codec runs a message's field layout in one of two directions:
+// encoding appends each field to buf; decoding reads each field from
+// buf[off:] into the message, checking it is in canonical form, and
+// reads nothing after the first failure. Every field method takes a
+// pointer, so one layout serves both directions.
+type codec struct {
+	buf      []byte
+	off      int
+	decoding bool
+	err      error
+}
 
-func (w *writer) uvarint(v uint64) { w.buf = binary.AppendUvarint(w.buf, v) }
-func (w *writer) varint(v int64)   { w.buf = binary.AppendVarint(w.buf, v) }
-func (w *writer) byteVal(b byte)   { w.buf = append(w.buf, b) }
+// frame appends m's complete frame to c.buf.
+func (c *codec) frame(m Message) {
+	start := len(c.buf)
+	c.buf = append(c.buf, 0, 0, 0, 0, byte(m.Op()))
+	m.code(c)
+	binary.BigEndian.PutUint32(c.buf[start:], uint32(len(c.buf)-start-4))
+}
 
-func (w *writer) boolVal(v bool) {
-	if v {
-		w.byteVal(1)
-	} else {
-		w.byteVal(0)
+func (c *codec) fail(reason string) {
+	if c.err == nil {
+		c.err = &FrameError{reason}
 	}
 }
 
-func (w *writer) str(s string) {
-	w.uvarint(uint64(len(s)))
-	w.buf = append(w.buf, s...)
-}
-
-func (w *writer) strs(ss []string) {
-	w.uvarint(uint64(len(ss)))
-	for _, s := range ss {
-		w.str(s)
-	}
-}
-
-// timeVal encodes t as a presence flag plus unix seconds and
-// nanoseconds — not UnixNano, which silently wraps outside
-// ~[1678, 2262] and would corrupt far-future "keep forever" expiries
-// (legal in the gdpr record codec, which stores unix seconds). The zero
-// time (meaning "unset" throughout the benchmark) survives the trip.
-func (w *writer) timeVal(t time.Time) {
-	if t.IsZero() {
-		w.byteVal(0)
+// uvarint codes a minimal-length unsigned varint; overlong encodings are
+// rejected so the codec stays canonical (encode(decode(b)) == b).
+func (c *codec) uvarint(v *uint64) {
+	if !c.decoding {
+		c.buf = binary.AppendUvarint(c.buf, *v)
 		return
 	}
-	w.byteVal(1)
-	w.varint(t.Unix())
-	w.uvarint(uint64(t.Nanosecond()))
-}
-
-type reader struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (r *reader) fail(reason string) {
-	if r.err == nil {
-		r.err = &FrameError{reason}
+	if c.err != nil {
+		return
 	}
-}
-
-func (r *reader) remaining() int { return len(r.buf) - r.off }
-
-// uvarint reads a minimal-length unsigned varint; overlong encodings are
-// rejected so the codec stays canonical (encode(decode(b)) == b).
-func (r *reader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.buf[r.off:])
-	if n <= 0 {
-		r.fail("bad uvarint")
-		return 0
-	}
-	var min [binary.MaxVarintLen64]byte
-	if binary.PutUvarint(min[:], v) != n {
-		r.fail("non-minimal uvarint")
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *reader) varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.buf[r.off:])
-	if n <= 0 {
-		r.fail("bad varint")
-		return 0
-	}
-	var min [binary.MaxVarintLen64]byte
-	if binary.PutVarint(min[:], v) != n {
-		r.fail("non-minimal varint")
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *reader) byteVal() byte {
-	if r.err != nil {
-		return 0
-	}
-	if r.remaining() < 1 {
-		r.fail("truncated byte")
-		return 0
-	}
-	b := r.buf[r.off]
-	r.off++
-	return b
-}
-
-func (r *reader) boolVal() bool {
-	b := r.byteVal()
-	if r.err == nil && b > 1 {
-		r.fail("bad bool")
-	}
-	return b == 1
-}
-
-func (r *reader) str() string {
-	n := r.uvarint()
-	if r.err != nil {
-		return ""
-	}
-	if n > uint64(r.remaining()) {
-		r.fail("string length exceeds frame")
-		return ""
-	}
-	s := string(r.buf[r.off : r.off+int(n)])
-	r.off += int(n)
-	return s
-}
-
-func (r *reader) strsVal() []string {
-	n := r.uvarint()
-	if r.err != nil {
-		return nil
-	}
-	// Every element costs at least one length byte, so a count beyond the
-	// remaining payload is malformed — reject before allocating.
-	if n > uint64(r.remaining()) {
-		r.fail("list length exceeds frame")
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	// Cap the pre-allocation: the count is attacker-controlled and each
-	// slice header costs 16 bytes, so trusting it would let a small
-	// frame demand a large allocation before the first element fails to
-	// decode. append amortizes the growth for honest frames.
-	out := make([]string, 0, minU64(n, 1024))
-	for i := uint64(0); i < n; i++ {
-		out = append(out, r.str())
-	}
-	return out
-}
-
-func minU64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func (r *reader) timeVal() time.Time {
-	switch r.byteVal() {
-	case 0:
-		return time.Time{}
-	case 1:
-		sec := r.varint()
-		nsec := r.uvarint()
-		if r.err != nil {
-			return time.Time{}
-		}
-		if nsec >= 1_000_000_000 {
-			r.fail("time nanoseconds out of range")
-			return time.Time{}
-		}
-		t := time.Unix(sec, int64(nsec)).UTC()
-		if t.IsZero() {
-			// The instant that equals Go's zero time must use flag 0, or
-			// re-encoding would not reproduce the input bytes.
-			r.fail("non-canonical zero time")
-			return time.Time{}
-		}
-		return t
+	x, n := binary.Uvarint(c.buf[c.off:])
+	switch {
+	case n <= 0:
+		c.fail("bad varint")
+	case n > 1 && c.buf[c.off+n-1] == 0:
+		// A zero final group adds nothing: a shorter encoding exists.
+		c.fail("non-minimal varint")
 	default:
-		r.fail("bad time flag")
-		return time.Time{}
+		*v = x
+		c.off += n
+	}
+}
+
+// varint codes a signed varint as the zig-zag uvarint encoding/binary
+// writes, so it is canonical exactly when the uvarint is.
+func (c *codec) varint(v *int64) {
+	u := uint64(*v<<1) ^ uint64(*v>>63)
+	c.uvarint(&u)
+	if c.decoding {
+		*v = int64(u>>1) ^ -int64(u&1)
+	}
+}
+
+func (c *codec) byteVal(v *byte) {
+	switch {
+	case !c.decoding:
+		c.buf = append(c.buf, *v)
+	case c.err != nil:
+	case c.off == len(c.buf):
+		c.fail("truncated byte")
+	default:
+		*v = c.buf[c.off]
+		c.off++
+	}
+}
+
+// small codes an int-kinded enum (acl.Role, gdpr.DeltaOp) as one byte.
+func small[T ~int](c *codec, v *T) {
+	b := byte(*v)
+	c.byteVal(&b)
+	if c.decoding {
+		*v = T(b)
+	}
+}
+
+func (c *codec) boolVal(v *bool) {
+	var b byte
+	if *v {
+		b = 1
+	}
+	c.byteVal(&b)
+	if c.decoding {
+		if b > 1 {
+			c.fail("bad bool")
+		}
+		*v = b == 1
+	}
+}
+
+func (c *codec) str(s *string) {
+	n := uint64(len(*s))
+	c.uvarint(&n)
+	switch {
+	case !c.decoding:
+		c.buf = append(c.buf, *s...)
+	case c.err != nil:
+	case n > uint64(len(c.buf)-c.off):
+		c.fail("string length exceeds frame")
+	default:
+		*s = string(c.buf[c.off : c.off+int(n)])
+		c.off += int(n)
+	}
+}
+
+// strs codes a string list; every element costs at least its length
+// byte.
+func (c *codec) strs(ss *[]string) { list(c, ss, 1, "string", (*codec).str) }
+
+// list codes *s as a count followed by each element's layout. Decoding,
+// a count the remaining frame cannot hold at minSize bytes per element
+// is rejected before anything is allocated; the pre-allocation is
+// capped at 1024, because the count is attacker-controlled and a small
+// frame must not demand a large allocation before its first element
+// fails (append amortizes honest growth past the cap); and elements
+// decode in place, stopping at the first malformed one.
+func list[T any](c *codec, s *[]T, minSize int, what string, elem func(*codec, *T)) {
+	n := uint64(len(*s))
+	c.uvarint(&n)
+	if !c.decoding {
+		for i := range *s {
+			elem(c, &(*s)[i])
+		}
+		return
+	}
+	if c.err == nil && n > uint64(len(c.buf)-c.off)/uint64(minSize) {
+		c.fail(what + " count exceeds frame")
+	}
+	if c.err != nil || n == 0 {
+		return
+	}
+	out := make([]T, 0, min(n, 1024))
+	for ; n > 0 && c.err == nil; n-- {
+		out = append(out, *new(T))
+		elem(c, &out[len(out)-1])
+	}
+	*s = out
+}
+
+// at returns &(*s)[i] for a slice coded in parallel with a list, one
+// element per list element; decoding appends element i first.
+func at[T any](c *codec, s *[]T, i int) *T {
+	if c.decoding {
+		*s = append(*s, *new(T))
+	}
+	return &(*s)[i]
+}
+
+// timeVal codes t as a presence flag plus unix seconds and nanoseconds —
+// not UnixNano, which silently wraps outside ~[1678, 2262] and would
+// corrupt far-future "keep forever" expiries (legal in the gdpr record
+// codec, which stores unix seconds). The zero time (meaning "unset"
+// throughout the benchmark) is flag 0 and survives the trip.
+func (c *codec) timeVal(t *time.Time) {
+	var flag byte
+	var sec int64
+	var nsec uint64
+	if !t.IsZero() {
+		flag, sec, nsec = 1, t.Unix(), uint64(t.Nanosecond())
+	}
+	c.byteVal(&flag)
+	if flag == 0 {
+		return
+	}
+	if flag > 1 {
+		c.fail("bad time flag")
+		return
+	}
+	c.varint(&sec)
+	c.uvarint(&nsec)
+	if !c.decoding || c.err != nil {
+		return
+	}
+	if nsec >= 1_000_000_000 {
+		c.fail("time nanoseconds out of range")
+		return
+	}
+	// The instant that equals Go's zero time must use flag 0, or
+	// re-encoding would not reproduce the input bytes.
+	if *t = time.Unix(sec, int64(nsec)).UTC(); t.IsZero() {
+		c.fail("non-canonical zero time")
 	}
 }
 
 // ---------------------------------------------------------------------------
-// Shared sub-codecs
+// Shared sub-layouts
 
-func encodeActor(w *writer, a acl.Actor) {
-	w.byteVal(byte(a.Role))
-	w.str(a.ID)
-	w.str(a.Purpose)
+func (c *codec) actor(a *acl.Actor) {
+	small(c, &a.Role)
+	c.str(&a.ID)
+	c.str(&a.Purpose)
 }
 
-func decodeActor(r *reader) acl.Actor {
-	return acl.Actor{Role: acl.Role(r.byteVal()), ID: r.str(), Purpose: r.str()}
+func (c *codec) selector(sel *gdpr.Selector) {
+	c.str((*string)(&sel.Attr))
+	c.str(&sel.Value)
+	c.boolVal(&sel.Negate)
+	c.timeVal(&sel.AsOf)
 }
 
-func encodeSelector(w *writer, sel gdpr.Selector) {
-	w.str(string(sel.Attr))
-	w.str(sel.Value)
-	w.boolVal(sel.Negate)
-	w.timeVal(sel.AsOf)
+func (c *codec) delta(d *gdpr.Delta) {
+	c.str((*string)(&d.Attr))
+	small(c, &d.Op)
+	c.strs(&d.Values)
+	c.timeVal(&d.Expiry)
 }
 
-func decodeSelector(r *reader) gdpr.Selector {
-	return gdpr.Selector{
-		Attr:   gdpr.Attribute(r.str()),
-		Value:  r.str(),
-		Negate: r.boolVal(),
-		AsOf:   r.timeVal(),
-	}
-}
-
-func encodeDelta(w *writer, d gdpr.Delta) {
-	w.str(string(d.Attr))
-	w.byteVal(byte(d.Op))
-	w.strs(d.Values)
-	w.timeVal(d.Expiry)
-}
-
-func decodeDelta(r *reader) gdpr.Delta {
-	return gdpr.Delta{
-		Attr:   gdpr.Attribute(r.str()),
-		Op:     gdpr.DeltaOp(r.byteVal()),
-		Values: r.strsVal(),
-		Expiry: r.timeVal(),
-	}
-}
-
-func encodeEntry(w *writer, e audit.Entry) {
-	w.uvarint(e.Seq)
-	w.timeVal(e.Time)
-	w.str(e.Actor)
-	w.str(e.Op)
-	w.str(e.Target)
-	w.boolVal(e.OK)
-	w.str(e.Note)
-}
-
-func decodeEntry(r *reader) audit.Entry {
-	return audit.Entry{
-		Seq:    r.uvarint(),
-		Time:   r.timeVal(),
-		Actor:  r.str(),
-		Op:     r.str(),
-		Target: r.str(),
-		OK:     r.boolVal(),
-		Note:   r.str(),
-	}
+func (c *codec) entry(e *audit.Entry) {
+	c.uvarint(&e.Seq)
+	c.timeVal(&e.Time)
+	c.str(&e.Actor)
+	c.str(&e.Op)
+	c.str(&e.Target)
+	c.boolVal(&e.OK)
+	c.str(&e.Note)
 }
 
 // EncodeRecords renders records in the §4.2.1 wire format for transport.
@@ -582,15 +480,10 @@ type Hello struct {
 }
 
 func (*Hello) Op() Op { return OpHello }
-func (m *Hello) encode(w *writer) {
-	w.uvarint(m.Version)
-	w.byteVal(byte(m.Role))
-	w.str(m.Token)
-}
-func (m *Hello) decode(r *reader) {
-	m.Version = r.uvarint()
-	m.Role = acl.Role(r.byteVal())
-	m.Token = r.str()
+func (m *Hello) code(c *codec) {
+	c.uvarint(&m.Version)
+	small(c, &m.Role)
+	c.str(&m.Token)
 }
 
 // CreateRecord is the CREATE-RECORD request; Rec is a §4.2.1 payload.
@@ -600,13 +493,9 @@ type CreateRecord struct {
 }
 
 func (*CreateRecord) Op() Op { return OpCreateRecord }
-func (m *CreateRecord) encode(w *writer) {
-	encodeActor(w, m.Actor)
-	w.str(m.Rec)
-}
-func (m *CreateRecord) decode(r *reader) {
-	m.Actor = decodeActor(r)
-	m.Rec = r.str()
+func (m *CreateRecord) code(c *codec) {
+	c.actor(&m.Actor)
+	c.str(&m.Rec)
 }
 
 // CreateBatch is the bulk CREATE-RECORD request: one frame, one
@@ -617,13 +506,9 @@ type CreateBatch struct {
 }
 
 func (*CreateBatch) Op() Op { return OpCreateBatch }
-func (m *CreateBatch) encode(w *writer) {
-	encodeActor(w, m.Actor)
-	w.strs(m.Recs)
-}
-func (m *CreateBatch) decode(r *reader) {
-	m.Actor = decodeActor(r)
-	m.Recs = r.strsVal()
+func (m *CreateBatch) code(c *codec) {
+	c.actor(&m.Actor)
+	c.strs(&m.Recs)
 }
 
 // ReadData is the READ-DATA-BY-{KEY|PUR|USR|OBJ|DEC} request.
@@ -633,13 +518,9 @@ type ReadData struct {
 }
 
 func (*ReadData) Op() Op { return OpReadData }
-func (m *ReadData) encode(w *writer) {
-	encodeActor(w, m.Actor)
-	encodeSelector(w, m.Sel)
-}
-func (m *ReadData) decode(r *reader) {
-	m.Actor = decodeActor(r)
-	m.Sel = decodeSelector(r)
+func (m *ReadData) code(c *codec) {
+	c.actor(&m.Actor)
+	c.selector(&m.Sel)
 }
 
 // ReadMetadata is the READ-METADATA-BY-{KEY|USR|SHR} request.
@@ -649,13 +530,9 @@ type ReadMetadata struct {
 }
 
 func (*ReadMetadata) Op() Op { return OpReadMetadata }
-func (m *ReadMetadata) encode(w *writer) {
-	encodeActor(w, m.Actor)
-	encodeSelector(w, m.Sel)
-}
-func (m *ReadMetadata) decode(r *reader) {
-	m.Actor = decodeActor(r)
-	m.Sel = decodeSelector(r)
+func (m *ReadMetadata) code(c *codec) {
+	c.actor(&m.Actor)
+	c.selector(&m.Sel)
 }
 
 // UpdateData is the UPDATE-DATA-BY-KEY request.
@@ -665,15 +542,10 @@ type UpdateData struct {
 }
 
 func (*UpdateData) Op() Op { return OpUpdateData }
-func (m *UpdateData) encode(w *writer) {
-	encodeActor(w, m.Actor)
-	w.str(m.Key)
-	w.str(m.Data)
-}
-func (m *UpdateData) decode(r *reader) {
-	m.Actor = decodeActor(r)
-	m.Key = r.str()
-	m.Data = r.str()
+func (m *UpdateData) code(c *codec) {
+	c.actor(&m.Actor)
+	c.str(&m.Key)
+	c.str(&m.Data)
 }
 
 // UpdateMetadata is the UPDATE-METADATA-BY-{KEY|PUR|USR|SHR} request.
@@ -684,15 +556,10 @@ type UpdateMetadata struct {
 }
 
 func (*UpdateMetadata) Op() Op { return OpUpdateMetadata }
-func (m *UpdateMetadata) encode(w *writer) {
-	encodeActor(w, m.Actor)
-	encodeSelector(w, m.Sel)
-	encodeDelta(w, m.Delta)
-}
-func (m *UpdateMetadata) decode(r *reader) {
-	m.Actor = decodeActor(r)
-	m.Sel = decodeSelector(r)
-	m.Delta = decodeDelta(r)
+func (m *UpdateMetadata) code(c *codec) {
+	c.actor(&m.Actor)
+	c.selector(&m.Sel)
+	c.delta(&m.Delta)
 }
 
 // DeleteRecord is the DELETE-RECORD-BY-{KEY|PUR|TTL|USR} request.
@@ -702,13 +569,9 @@ type DeleteRecord struct {
 }
 
 func (*DeleteRecord) Op() Op { return OpDeleteRecord }
-func (m *DeleteRecord) encode(w *writer) {
-	encodeActor(w, m.Actor)
-	encodeSelector(w, m.Sel)
-}
-func (m *DeleteRecord) decode(r *reader) {
-	m.Actor = decodeActor(r)
-	m.Sel = decodeSelector(r)
+func (m *DeleteRecord) code(c *codec) {
+	c.actor(&m.Actor)
+	c.selector(&m.Sel)
 }
 
 // GetLogs is the GET-SYSTEM-LOGS request.
@@ -718,23 +581,17 @@ type GetLogs struct {
 }
 
 func (*GetLogs) Op() Op { return OpGetLogs }
-func (m *GetLogs) encode(w *writer) {
-	encodeActor(w, m.Actor)
-	w.timeVal(m.From)
-	w.timeVal(m.To)
-}
-func (m *GetLogs) decode(r *reader) {
-	m.Actor = decodeActor(r)
-	m.From = r.timeVal()
-	m.To = r.timeVal()
+func (m *GetLogs) code(c *codec) {
+	c.actor(&m.Actor)
+	c.timeVal(&m.From)
+	c.timeVal(&m.To)
 }
 
 // GetFeatures is the GET-SYSTEM-FEATURES request.
 type GetFeatures struct{ Actor acl.Actor }
 
-func (*GetFeatures) Op() Op             { return OpGetFeatures }
-func (m *GetFeatures) encode(w *writer) { encodeActor(w, m.Actor) }
-func (m *GetFeatures) decode(r *reader) { m.Actor = decodeActor(r) }
+func (*GetFeatures) Op() Op          { return OpGetFeatures }
+func (m *GetFeatures) code(c *codec) { c.actor(&m.Actor) }
 
 // VerifyDeletion asks how many of the given keys still exist.
 type VerifyDeletion struct {
@@ -743,21 +600,16 @@ type VerifyDeletion struct {
 }
 
 func (*VerifyDeletion) Op() Op { return OpVerifyDeletion }
-func (m *VerifyDeletion) encode(w *writer) {
-	encodeActor(w, m.Actor)
-	w.strs(m.Keys)
-}
-func (m *VerifyDeletion) decode(r *reader) {
-	m.Actor = decodeActor(r)
-	m.Keys = r.strsVal()
+func (m *VerifyDeletion) code(c *codec) {
+	c.actor(&m.Actor)
+	c.strs(&m.Keys)
 }
 
 // SpaceUsage asks for the §4.2.3 space-overhead inputs.
 type SpaceUsage struct{}
 
-func (*SpaceUsage) Op() Op           { return OpSpaceUsage }
-func (m *SpaceUsage) encode(*writer) {}
-func (m *SpaceUsage) decode(*reader) {}
+func (*SpaceUsage) Op() Op      { return OpSpaceUsage }
+func (*SpaceUsage) code(*codec) {}
 
 // Metrics asks for the server's observability snapshot. Like SpaceUsage
 // it is an admin query any authenticated session may issue — the
@@ -766,9 +618,8 @@ func (m *SpaceUsage) decode(*reader) {}
 // (which names key classes, not keys) rides along.
 type Metrics struct{ Slowlog bool }
 
-func (*Metrics) Op() Op             { return OpMetrics }
-func (m *Metrics) encode(w *writer) { w.boolVal(m.Slowlog) }
-func (m *Metrics) decode(r *reader) { m.Slowlog = r.boolVal() }
+func (*Metrics) Op() Op          { return OpMetrics }
+func (m *Metrics) code(c *codec) { c.boolVal(&m.Slowlog) }
 
 // SelectStream opens a server-side cursor over a selector result set
 // (the streaming counterpart of ReadData/ReadMetadata). The server
@@ -785,17 +636,11 @@ type SelectStream struct {
 }
 
 func (*SelectStream) Op() Op { return OpSelectStream }
-func (m *SelectStream) encode(w *writer) {
-	encodeActor(w, m.Actor)
-	encodeSelector(w, m.Sel)
-	w.uvarint(m.Chunk)
-	w.boolVal(m.Meta)
-}
-func (m *SelectStream) decode(r *reader) {
-	m.Actor = decodeActor(r)
-	m.Sel = decodeSelector(r)
-	m.Chunk = r.uvarint()
-	m.Meta = r.boolVal()
+func (m *SelectStream) code(c *codec) {
+	c.actor(&m.Actor)
+	c.selector(&m.Sel)
+	c.uvarint(&m.Chunk)
+	c.boolVal(&m.Meta)
 }
 
 // StreamNext pulls the next chunk from an open cursor. Clients may
@@ -805,18 +650,16 @@ func (m *SelectStream) decode(r *reader) {
 // connection.
 type StreamNext struct{ ID uint64 }
 
-func (*StreamNext) Op() Op             { return OpStreamNext }
-func (m *StreamNext) encode(w *writer) { w.uvarint(m.ID) }
-func (m *StreamNext) decode(r *reader) { m.ID = r.uvarint() }
+func (*StreamNext) Op() Op          { return OpStreamNext }
+func (m *StreamNext) code(c *codec) { c.uvarint(&m.ID) }
 
 // StreamClose releases a cursor early. The server always acks — closing
 // an unknown or already-finished cursor is a no-op, so close races
 // (Done chunk in flight while the client closes) resolve cleanly.
 type StreamClose struct{ ID uint64 }
 
-func (*StreamClose) Op() Op             { return OpStreamClose }
-func (m *StreamClose) encode(w *writer) { w.uvarint(m.ID) }
-func (m *StreamClose) decode(r *reader) { m.ID = r.uvarint() }
+func (*StreamClose) Op() Op          { return OpStreamClose }
+func (m *StreamClose) code(c *codec) { c.uvarint(&m.ID) }
 
 // ---------------------------------------------------------------------------
 // Responses
@@ -831,85 +674,49 @@ type HelloOK struct {
 }
 
 func (*HelloOK) Op() Op { return OpHelloOK }
-func (m *HelloOK) encode(w *writer) {
-	w.uvarint(m.Version)
-	w.str(m.AuditPolicy)
-}
-func (m *HelloOK) decode(r *reader) {
-	m.Version = r.uvarint()
-	m.AuditPolicy = r.str()
+func (m *HelloOK) code(c *codec) {
+	c.uvarint(&m.Version)
+	c.str(&m.AuditPolicy)
 }
 
 // Ack acknowledges a create request.
 type Ack struct{}
 
-func (*Ack) Op() Op           { return OpAck }
-func (m *Ack) encode(*writer) {}
-func (m *Ack) decode(*reader) {}
+func (*Ack) Op() Op      { return OpAck }
+func (*Ack) code(*codec) {}
 
 // Records carries selector results as §4.2.1 payloads, engine order
 // preserved.
 type Records struct{ Recs []string }
 
-func (*Records) Op() Op             { return OpRecords }
-func (m *Records) encode(w *writer) { w.strs(m.Recs) }
-func (m *Records) decode(r *reader) { m.Recs = r.strsVal() }
+func (*Records) Op() Op          { return OpRecords }
+func (m *Records) code(c *codec) { c.strs(&m.Recs) }
 
 // Count carries a mutation or verification count.
 type Count struct{ N int64 }
 
-func (*Count) Op() Op             { return OpCount }
-func (m *Count) encode(w *writer) { w.varint(m.N) }
-func (m *Count) decode(r *reader) { m.N = r.varint() }
+func (*Count) Op() Op          { return OpCount }
+func (m *Count) code(c *codec) { c.varint(&m.N) }
 
 // LogEntries carries GET-SYSTEM-LOGS results.
 type LogEntries struct{ Entries []audit.Entry }
 
 func (*LogEntries) Op() Op { return OpLogEntries }
-func (m *LogEntries) encode(w *writer) {
-	w.uvarint(uint64(len(m.Entries)))
-	for _, e := range m.Entries {
-		encodeEntry(w, e)
-	}
-}
-func (m *LogEntries) decode(r *reader) {
-	n := r.uvarint()
-	if r.err != nil {
-		return
-	}
-	// A minimal entry (seq + time flag + three empty strings + ok +
-	// empty note) encodes to 7 bytes; reject impossible counts before
-	// touching memory, and cap the pre-allocation regardless — each
-	// audit.Entry costs ~100 bytes, so an attacker-controlled count
-	// must not size the slice.
-	const minEntrySize = 7
-	if n > uint64(r.remaining())/minEntrySize {
-		r.fail("entry count exceeds frame")
-		return
-	}
-	if n == 0 {
-		return
-	}
-	m.Entries = make([]audit.Entry, 0, minU64(n, 1024))
-	for i := uint64(0); i < n; i++ {
-		m.Entries = append(m.Entries, decodeEntry(r))
-	}
-}
+
+// A minimal entry (seq + time flag + three empty strings + ok + empty
+// note) encodes to 7 bytes.
+func (m *LogEntries) code(c *codec) { list(c, &m.Entries, 7, "entry", (*codec).entry) }
 
 // Features carries GET-SYSTEM-FEATURES results as sorted key/value
 // pairs (sorted so the encoding of a features map is canonical).
 type Features struct{ Keys, Vals []string }
 
 func (*Features) Op() Op { return OpFeatures }
-func (m *Features) encode(w *writer) {
-	w.strs(m.Keys)
-	w.strs(m.Vals)
-}
-func (m *Features) decode(r *reader) {
-	m.Keys = r.strsVal()
-	m.Vals = r.strsVal()
-	if r.err == nil && len(m.Keys) != len(m.Vals) {
-		r.fail("features key/value count mismatch")
+func (m *Features) code(c *codec) {
+	c.strs(&m.Keys)
+	c.strs(&m.Vals)
+	if c.decoding && len(m.Keys) != len(m.Vals) {
+		c.fail("features key/value count mismatch")
 	}
 }
 
@@ -940,22 +747,17 @@ func (m *Features) Map() map[string]string {
 type Space struct{ Personal, Total int64 }
 
 func (*Space) Op() Op { return OpSpace }
-func (m *Space) encode(w *writer) {
-	w.varint(m.Personal)
-	w.varint(m.Total)
-}
-func (m *Space) decode(r *reader) {
-	m.Personal = r.varint()
-	m.Total = r.varint()
+func (m *Space) code(c *codec) {
+	c.varint(&m.Personal)
+	c.varint(&m.Total)
 }
 
 // StreamOpened accepts a SelectStream: ID names the server-side cursor
 // for subsequent StreamNext/StreamClose frames.
 type StreamOpened struct{ ID uint64 }
 
-func (*StreamOpened) Op() Op             { return OpStreamOpened }
-func (m *StreamOpened) encode(w *writer) { w.uvarint(m.ID) }
-func (m *StreamOpened) decode(r *reader) { m.ID = r.uvarint() }
+func (*StreamOpened) Op() Op          { return OpStreamOpened }
+func (m *StreamOpened) code(c *codec) { c.uvarint(&m.ID) }
 
 // StreamChunk answers one StreamNext: a batch of §4.2.1 record payloads
 // in engine order. Done marks the final frame of the stream (Recs may
@@ -970,15 +772,10 @@ type StreamChunk struct {
 }
 
 func (*StreamChunk) Op() Op { return OpStreamChunk }
-func (m *StreamChunk) encode(w *writer) {
-	w.uvarint(m.ID)
-	w.strs(m.Recs)
-	w.boolVal(m.Done)
-}
-func (m *StreamChunk) decode(r *reader) {
-	m.ID = r.uvarint()
-	m.Recs = r.strsVal()
-	m.Done = r.boolVal()
+func (m *StreamChunk) code(c *codec) {
+	c.uvarint(&m.ID)
+	c.strs(&m.Recs)
+	c.boolVal(&m.Done)
 }
 
 // MetricsResp carries a registry snapshot: counter and gauge series as
@@ -998,144 +795,47 @@ type MetricsResp struct {
 
 func (*MetricsResp) Op() Op { return OpMetricsResp }
 
-// encodeSeries writes name/value pairs interleaved under one count, so
-// the two slices cannot disagree in length on the wire.
-func encodeSeries(w *writer, names []string, vals []int64) {
-	w.uvarint(uint64(len(names)))
-	for i, name := range names {
-		w.str(name)
-		w.varint(vals[i])
-	}
-}
-
-func decodeSeries(r *reader) ([]string, []int64) {
-	n := r.uvarint()
-	if r.err != nil {
-		return nil, nil
-	}
-	// A minimal pair (empty name + one-byte varint) costs 2 bytes; reject
-	// impossible counts before allocating, and cap the pre-allocation —
-	// the count is attacker-controlled.
-	if n > uint64(r.remaining())/2 {
-		r.fail("series count exceeds frame")
-		return nil, nil
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	names := make([]string, 0, minU64(n, 1024))
-	vals := make([]int64, 0, minU64(n, 1024))
-	for i := uint64(0); i < n; i++ {
-		names = append(names, r.str())
-		vals = append(vals, r.varint())
-	}
-	return names, vals
-}
-
-func encodeHistStat(w *writer, st obs.HistStat) {
-	w.varint(st.Count)
-	w.varint(st.Sum)
-	w.varint(st.Min)
-	w.varint(st.Max)
-	w.varint(st.P50)
-	w.varint(st.P95)
-	w.varint(st.P99)
-	w.varint(st.WindowCount)
-}
-
-func decodeHistStat(r *reader) obs.HistStat {
-	return obs.HistStat{
-		Count:       r.varint(),
-		Sum:         r.varint(),
-		Min:         r.varint(),
-		Max:         r.varint(),
-		P50:         r.varint(),
-		P95:         r.varint(),
-		P99:         r.varint(),
-		WindowCount: r.varint(),
-	}
-}
-
-func encodeSlowEntry(w *writer, e obs.SlowEntry) {
-	w.uvarint(e.Seq)
-	w.timeVal(e.Time)
-	w.str(e.Op)
-	w.str(e.Role)
-	w.str(e.KeyClass)
-	w.boolVal(e.Err)
-	w.varint(int64(e.Total))
-	for _, d := range e.Phases {
-		w.varint(int64(d))
-	}
-}
-
-func decodeSlowEntry(r *reader) obs.SlowEntry {
-	e := obs.SlowEntry{
-		Seq:      r.uvarint(),
-		Time:     r.timeVal(),
-		Op:       r.str(),
-		Role:     r.str(),
-		KeyClass: r.str(),
-		Err:      r.boolVal(),
-		Total:    time.Duration(r.varint()),
-	}
-	for i := range e.Phases {
-		e.Phases[i] = time.Duration(r.varint())
-	}
-	return e
-}
-
-func (m *MetricsResp) encode(w *writer) {
-	encodeSeries(w, m.CounterNames, m.CounterVals)
-	encodeSeries(w, m.GaugeNames, m.GaugeVals)
-	w.uvarint(uint64(len(m.HistNames)))
-	for i, name := range m.HistNames {
-		w.str(name)
-		encodeHistStat(w, m.HistStats[i])
-	}
-	w.uvarint(uint64(len(m.Slow)))
-	for _, e := range m.Slow {
-		encodeSlowEntry(w, e)
-	}
-}
-
-func (m *MetricsResp) decode(r *reader) {
-	m.CounterNames, m.CounterVals = decodeSeries(r)
-	m.GaugeNames, m.GaugeVals = decodeSeries(r)
-	nh := r.uvarint()
-	if r.err != nil {
-		return
-	}
+func (m *MetricsResp) code(c *codec) {
+	c.series(&m.CounterNames, &m.CounterVals)
+	c.series(&m.GaugeNames, &m.GaugeVals)
 	// A minimal histogram entry (empty name + eight one-byte varints)
 	// costs 9 bytes.
-	if nh > uint64(r.remaining())/9 {
-		r.fail("histogram count exceeds frame")
-		return
-	}
-	if nh > 0 {
-		m.HistNames = make([]string, 0, minU64(nh, 1024))
-		m.HistStats = make([]obs.HistStat, 0, minU64(nh, 1024))
-		for i := uint64(0); i < nh; i++ {
-			m.HistNames = append(m.HistNames, r.str())
-			m.HistStats = append(m.HistStats, decodeHistStat(r))
+	i := 0
+	list(c, &m.HistNames, 9, "histogram", func(c *codec, name *string) {
+		c.str(name)
+		st := at(c, &m.HistStats, i)
+		for _, v := range [...]*int64{&st.Count, &st.Sum, &st.Min, &st.Max, &st.P50, &st.P95, &st.P99, &st.WindowCount} {
+			c.varint(v)
 		}
-	}
-	ns := r.uvarint()
-	if r.err != nil {
-		return
-	}
+		i++
+	})
 	// A minimal slowlog entry (seq + zero time + three empty strings +
 	// err + total + one varint per phase) costs 7+NumPhases bytes.
-	minSlowSize := uint64(7 + obs.NumPhases)
-	if ns > uint64(r.remaining())/minSlowSize {
-		r.fail("slowlog count exceeds frame")
-		return
-	}
-	if ns > 0 {
-		m.Slow = make([]obs.SlowEntry, 0, minU64(ns, 1024))
-		for i := uint64(0); i < ns; i++ {
-			m.Slow = append(m.Slow, decodeSlowEntry(r))
-		}
+	list(c, &m.Slow, 7+int(obs.NumPhases), "slowlog", (*codec).slowEntry)
+}
+
+// series codes name/value pairs interleaved under one count, so the two
+// slices cannot disagree in length on the wire. A minimal pair (empty
+// name + one-byte varint) costs 2 bytes.
+func (c *codec) series(names *[]string, vals *[]int64) {
+	i := 0
+	list(c, names, 2, "series", func(c *codec, name *string) {
+		c.str(name)
+		c.varint(at(c, vals, i))
+		i++
+	})
+}
+
+func (c *codec) slowEntry(e *obs.SlowEntry) {
+	c.uvarint(&e.Seq)
+	c.timeVal(&e.Time)
+	c.str(&e.Op)
+	c.str(&e.Role)
+	c.str(&e.KeyClass)
+	c.boolVal(&e.Err)
+	c.varint((*int64)(&e.Total))
+	for i := range e.Phases {
+		c.varint((*int64)(&e.Phases[i]))
 	}
 }
 
@@ -1228,25 +928,15 @@ type ErrorResp struct {
 }
 
 func (*ErrorResp) Op() Op { return OpError }
-func (m *ErrorResp) encode(w *writer) {
-	w.byteVal(m.Kind)
-	w.byteVal(byte(m.Role))
-	w.byteVal(m.Verb)
-	w.str(m.ID)
-	w.str(m.Purpose)
-	w.str(m.Key)
-	w.str(m.Reason)
-	w.str(m.Msg)
-}
-func (m *ErrorResp) decode(r *reader) {
-	m.Kind = r.byteVal()
-	m.Role = acl.Role(r.byteVal())
-	m.Verb = r.byteVal()
-	m.ID = r.str()
-	m.Purpose = r.str()
-	m.Key = r.str()
-	m.Reason = r.str()
-	m.Msg = r.str()
+func (m *ErrorResp) code(c *codec) {
+	c.byteVal(&m.Kind)
+	small(c, &m.Role)
+	c.byteVal(&m.Verb)
+	c.str(&m.ID)
+	c.str(&m.Purpose)
+	c.str(&m.Key)
+	c.str(&m.Reason)
+	c.str(&m.Msg)
 }
 
 // ErrorFrom classifies err into a wire error. Callers layering extra

@@ -2,6 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"io"
 	"testing"
@@ -122,19 +125,119 @@ func sampleMessages() []Message {
 	}
 }
 
+// encodeFrame renders m as one complete frame.
+func encodeFrame(m Message) []byte { return AppendEncode(nil, m) }
+
+// readFrame decodes one frame from in through a fresh Decoder.
+func readFrame(in io.Reader) (Message, error) {
+	var d Decoder
+	return d.ReadMessage(in)
+}
+
+// rawFrame builds a frame around a hand-written payload.
+func rawFrame(op Op, payload ...byte) []byte {
+	return append([]byte{0, 0, 0, byte(len(payload) + 1), byte(op)}, payload...)
+}
+
+// goldenSHA256 is the SHA-256 over the frames of sampleMessages(), in
+// order. It pins the wire format: any codec change that moves one byte
+// of any frame type fails TestWireGoldenBytes.
+const goldenSHA256 = "1b184d5a3a582793e23a1153a2722d2aa64ef8144aa998df87fe519975026c57"
+
+func TestWireGoldenBytes(t *testing.T) {
+	h := sha256.New()
+	for _, m := range sampleMessages() {
+		h.Write(AppendEncode(nil, m))
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != goldenSHA256 {
+		t.Fatalf("wire format changed: sha256 %s, want %s", got, goldenSHA256)
+	}
+}
+
+// TestMalformedFramesRejected decodes hand-built frames that break one
+// canonical-codec rule each; every one must fail with a *FrameError.
+func TestMalformedFramesRejected(t *testing.T) {
+	zeroInstant := binary.AppendVarint([]byte{0, 0, 0, 1}, time.Time{}.Unix()) // actor, then From flag 1
+	badNanos := binary.AppendUvarint([]byte{0, 0, 0, 1, 0}, 1_000_000_000)
+	slowMin := 7 + obs.NumPhases
+	cases := []struct {
+		name  string
+		frame []byte
+	}{
+		{"non-minimal uvarint", rawFrame(OpHello, 0x84, 0x00, 0, 0)},
+		{"non-minimal varint", rawFrame(OpCount, 0x80, 0x00)},
+		{"bool 2", rawFrame(OpMetrics, 2)},
+		{"time flag 2", rawFrame(OpGetLogs, 0, 0, 0, 2, 0, 0, 0)},
+		{"nanoseconds out of range", rawFrame(OpGetLogs, append(badNanos, 0)...)},
+		{"zero instant under flag 1", rawFrame(OpGetLogs, append(binary.AppendUvarint(zeroInstant, 0), 0)...)},
+		{"string longer than frame", rawFrame(OpHello, 4, 0, 5, 'x')},
+		{"string list count", rawFrame(OpRecords, 5, 0)},
+		{"log entry count", rawFrame(OpLogEntries, append([]byte{2}, make([]byte, 7)...)...)},
+		{"series count", rawFrame(OpMetricsResp, 3, 0, 0, 0, 0, 0)},
+		{"histogram count", rawFrame(OpMetricsResp, append([]byte{0, 0, 2}, make([]byte, 9)...)...)},
+		{"slowlog count", rawFrame(OpMetricsResp, append([]byte{0, 0, 0, 2}, make([]byte, slowMin)...)...)},
+		{"features length mismatch", rawFrame(OpFeatures, 1, 1, 'a', 0)},
+		{"trailing bytes", rawFrame(OpAck, 1, 2)},
+		{"unknown opcode", rawFrame(0xee)},
+		{"invalid opcode", rawFrame(opInvalid)},
+		{"opcode past the last", rawFrame(opEnd)},
+	}
+	for _, tc := range cases {
+		_, err := readFrame(bytes.NewReader(tc.frame))
+		var fe *FrameError
+		if !errors.As(err, &fe) {
+			t.Errorf("%s (%x): got %v, want *FrameError", tc.name, tc.frame, err)
+		}
+	}
+}
+
+// TestPooledCodecAllocs pins the allocation contract of the Encoder/
+// Decoder pair every connection holds: a point-read request costs 5
+// allocations per round trip (the decoded message, its three non-empty
+// strings, the frame header ReadFull sees through an interface) and a
+// 10-record response 13 (message, slice, ten strings, header).
+func TestPooledCodecAllocs(t *testing.T) {
+	rec := gdpr.Encode(gdpr.Record{Key: "r0000001", Data: "123-456-7890",
+		Meta: gdpr.Metadata{Purposes: []string{"ads"}, User: "u0001", Source: "first-party"}})
+	for _, tc := range []struct {
+		name string
+		msg  Message
+		max  float64
+	}{
+		{"read-data", &ReadData{Actor: acl.Actor{Role: acl.Customer, ID: "neo"}, Sel: gdpr.ByKey("r0000001")}, 5},
+		{"records10", &Records{Recs: []string{rec, rec, rec, rec, rec, rec, rec, rec, rec, rec}}, 13},
+	} {
+		var enc Encoder
+		var dec Decoder
+		var buf bytes.Buffer
+		got := testing.AllocsPerRun(200, func() {
+			buf.Reset()
+			if err := enc.WriteMessage(&buf, tc.msg); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := dec.ReadMessage(&buf); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > tc.max {
+			t.Errorf("%s: %.1f allocs per frame round trip, want <= %.0f", tc.name, got, tc.max)
+		}
+	}
+}
+
 // TestWireRoundTrip pins decode(encode(x)) == x (via canonical bytes)
 // for every frame type.
 func TestWireRoundTrip(t *testing.T) {
 	for _, m := range sampleMessages() {
-		enc := Encode(m)
-		got, err := ReadMessage(bytes.NewReader(enc))
+		enc := encodeFrame(m)
+		got, err := readFrame(bytes.NewReader(enc))
 		if err != nil {
 			t.Fatalf("%v: decode: %v", m.Op(), err)
 		}
 		if got.Op() != m.Op() {
 			t.Fatalf("%v: decoded as %v", m.Op(), got.Op())
 		}
-		re := Encode(got)
+		re := encodeFrame(got)
 		if !bytes.Equal(enc, re) {
 			t.Fatalf("%v: re-encode differs:\n  %x\n  %x", m.Op(), enc, re)
 		}
@@ -145,8 +248,8 @@ func TestWireRoundTrip(t *testing.T) {
 // decoded from a Records frame equals the record that was encoded.
 func TestWireRecordsSurviveTheTrip(t *testing.T) {
 	rec := gdpr.MustDecode("ph-1x4b;123-456-7890;PUR=ads,2fa;TTL=1552867200;USR=neo;OBJ=;DEC=;SHR=;SRC=first-party;")
-	enc := Encode(&Records{Recs: EncodeRecords([]gdpr.Record{rec})})
-	got, err := ReadMessage(bytes.NewReader(enc))
+	enc := encodeFrame(&Records{Recs: EncodeRecords([]gdpr.Record{rec})})
+	got, err := readFrame(bytes.NewReader(enc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,16 +266,16 @@ func TestWireRecordsSurviveTheTrip(t *testing.T) {
 // requires a clean error (no panic, no partial message).
 func TestTruncatedFramesRejected(t *testing.T) {
 	m := &ReadData{Actor: acl.Actor{Role: acl.Customer, ID: "neo"}, Sel: gdpr.ByUser("neo")}
-	enc := Encode(m)
+	enc := encodeFrame(m)
 	for cut := 0; cut < len(enc); cut++ {
-		if _, err := ReadMessage(bytes.NewReader(enc[:cut])); err == nil {
+		if _, err := readFrame(bytes.NewReader(enc[:cut])); err == nil {
 			t.Fatalf("truncation at %d/%d accepted", cut, len(enc))
 		}
 	}
 	// A frame whose payload lies about an inner length is rejected too.
 	bad := append([]byte(nil), enc...)
 	bad[6] = 0xff // the actor-ID length varint now claims far more bytes than the frame holds
-	if _, err := ReadMessage(bytes.NewReader(bad)); err == nil {
+	if _, err := readFrame(bytes.NewReader(bad)); err == nil {
 		t.Fatal("corrupt inner length accepted")
 	}
 }
@@ -181,7 +284,7 @@ func TestTruncatedFramesRejected(t *testing.T) {
 // payload allocation.
 func TestOversizedFrameRejected(t *testing.T) {
 	hdr := []byte{0xff, 0xff, 0xff, 0xff}
-	_, err := ReadMessage(bytes.NewReader(hdr))
+	_, err := readFrame(bytes.NewReader(hdr))
 	var fe *FrameError
 	if !errors.As(err, &fe) {
 		t.Fatalf("oversized frame: got %v, want *FrameError", err)
@@ -189,14 +292,14 @@ func TestOversizedFrameRejected(t *testing.T) {
 }
 
 func TestEmptyAndUnknownFramesRejected(t *testing.T) {
-	if _, err := ReadMessage(bytes.NewReader([]byte{0, 0, 0, 0})); err == nil {
+	if _, err := readFrame(bytes.NewReader([]byte{0, 0, 0, 0})); err == nil {
 		t.Fatal("empty frame accepted")
 	}
-	if _, err := ReadMessage(bytes.NewReader([]byte{0, 0, 0, 1, 0xee})); err == nil {
+	if _, err := readFrame(bytes.NewReader([]byte{0, 0, 0, 1, 0xee})); err == nil {
 		t.Fatal("unknown opcode accepted")
 	}
 	// Trailing payload bytes beyond the message body are rejected.
-	if _, err := ReadMessage(bytes.NewReader([]byte{0, 0, 0, 3, byte(OpAck), 1, 2})); err == nil {
+	if _, err := readFrame(bytes.NewReader([]byte{0, 0, 0, 3, byte(OpAck), 1, 2})); err == nil {
 		t.Fatal("trailing bytes accepted")
 	}
 }
@@ -236,28 +339,28 @@ func TestErrorRoundTripKeepsTypes(t *testing.T) {
 // codec is canonical), and no input may panic or over-read.
 func FuzzWireRoundTrip(f *testing.F) {
 	for _, m := range sampleMessages() {
-		f.Add(Encode(m))
+		f.Add(encodeFrame(m))
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1, 2, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
-		m, err := ReadMessage(r)
+		m, err := readFrame(r)
 		if err != nil {
 			return
 		}
 		consumed := len(data) - r.Len()
-		re := Encode(m)
+		re := encodeFrame(m)
 		if !bytes.Equal(re, data[:consumed]) {
 			t.Fatalf("decode/encode not canonical:\n in  %x\n out %x", data[:consumed], re)
 		}
 		// Decoding the canonical form again must succeed and agree.
-		m2, err := ReadMessage(bytes.NewReader(re))
+		m2, err := readFrame(bytes.NewReader(re))
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
-		if !bytes.Equal(Encode(m2), re) {
+		if !bytes.Equal(encodeFrame(m2), re) {
 			t.Fatal("second round trip diverged")
 		}
 	})
@@ -274,7 +377,7 @@ func TestFarFutureTimesSurviveTheTrip(t *testing.T) {
 		Sel:   gdpr.ByKey("k"),
 		Delta: gdpr.Delta{Attr: gdpr.AttrTTL, Op: gdpr.DeltaSet, Expiry: horizon},
 	}
-	got, err := ReadMessage(bytes.NewReader(Encode(m)))
+	got, err := readFrame(bytes.NewReader(encodeFrame(m)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +400,7 @@ func TestPoolAliasingWireCodec(t *testing.T) {
 	var enc Encoder
 	var net bytes.Buffer
 	for i, m := range samples {
-		canon[i] = Encode(m)
+		canon[i] = encodeFrame(m)
 		if err := enc.WriteMessage(&net, m); err != nil {
 			t.Fatalf("%v: encode: %v", m.Op(), err)
 		}
@@ -316,16 +419,15 @@ func TestPoolAliasingWireCodec(t *testing.T) {
 		scratch[i] = 0xff
 	}
 	for i, m := range msgs {
-		if !bytes.Equal(Encode(m), canon[i]) {
+		if !bytes.Equal(encodeFrame(m), canon[i]) {
 			t.Fatalf("%v: message aliased the decoder's pooled buffer", m.Op())
 		}
 	}
 }
 
-// TestEncoderOversizeRejectedBeforeWrite pins the Encoder to the
-// package-level WriteMessage contract: an oversized frame fails with a
-// *FrameError before any byte reaches the connection, which stays
-// usable for the next frame.
+// TestEncoderOversizeRejectedBeforeWrite pins the Encoder's oversize
+// contract: an oversized frame fails with a *FrameError before any byte
+// reaches the connection, which stays usable for the next frame.
 func TestEncoderOversizeRejectedBeforeWrite(t *testing.T) {
 	var enc Encoder
 	var net bytes.Buffer
@@ -341,7 +443,7 @@ func TestEncoderOversizeRejectedBeforeWrite(t *testing.T) {
 	if err := enc.WriteMessage(&net, &Ack{}); err != nil {
 		t.Fatalf("connection unusable after rejected frame: %v", err)
 	}
-	if _, err := ReadMessage(&net); err != nil {
+	if _, err := readFrame(&net); err != nil {
 		t.Fatalf("follow-up frame corrupt: %v", err)
 	}
 }
@@ -354,7 +456,7 @@ func TestEncoderOversizeRejectedBeforeWrite(t *testing.T) {
 // message and buffer corrupts the comparison.
 func FuzzWirePooledRoundTrip(f *testing.F) {
 	for _, m := range sampleMessages() {
-		f.Add(Encode(m))
+		f.Add(encodeFrame(m))
 	}
 	f.Add([]byte{0, 0, 0, 1, byte(OpAck)})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -389,10 +491,10 @@ func FuzzWirePooledRoundTrip(f *testing.F) {
 // TestReadMessageEOF distinguishes a clean EOF (no bytes) from a
 // truncated frame.
 func TestReadMessageEOF(t *testing.T) {
-	if _, err := ReadMessage(bytes.NewReader(nil)); !errors.Is(err, io.EOF) {
+	if _, err := readFrame(bytes.NewReader(nil)); !errors.Is(err, io.EOF) {
 		t.Fatalf("want io.EOF, got %v", err)
 	}
-	if _, err := ReadMessage(bytes.NewReader([]byte{0, 0})); !errors.Is(err, io.ErrUnexpectedEOF) {
+	if _, err := readFrame(bytes.NewReader([]byte{0, 0})); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("want ErrUnexpectedEOF, got %v", err)
 	}
 }
