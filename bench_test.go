@@ -639,7 +639,7 @@ func benchRelstoreMix(b *testing.B, durable bool, threads int) {
 				}
 				switch {
 				case i%20 < 11: // 55%: indexed selector read (~10 rows)
-					if _, err := db.Select("records", preds[(i*31)%users]); err != nil {
+					if _, err := db.SelectChunk("records", preds[(i*31)%users], "", relstore.NoLimit); err != nil {
 						b.Error(err)
 						return
 					}

@@ -87,6 +87,18 @@ func TestScanBaselineStillScans(t *testing.T) {
 	if got := kvStoreOf(client).FullScans(); got != 1 {
 		t.Fatalf("baseline BY-USR read scanned %d times, want 1", got)
 	}
+	// Streamed, the same read is still one walk of the keyspace, however
+	// many chunks it takes.
+	cur, err := client.(StreamReader).ReadDataStream(ControllerActor(), gdpr.ByUser(ds.UserName(3)), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Drain(cur); err != nil {
+		t.Fatal(err)
+	}
+	if got := kvStoreOf(client).FullScans(); got != 2 {
+		t.Fatalf("streamed baseline BY-USR read took the scan count to %d, want 2", got)
+	}
 }
 
 // TestIndexedMatchesScanResults cross-checks every equality dimension,

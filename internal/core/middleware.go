@@ -255,19 +255,6 @@ func (m *middleware) transitWrap(sp *obs.Span, req string, fn func() (string, er
 	return err
 }
 
-// fetch resolves a selector to records: the engine's point path for key
-// lookups, its native selector path otherwise.
-func (m *middleware) fetch(sel gdpr.Selector) ([]gdpr.Record, error) {
-	if sel.Attr == gdpr.AttrKey {
-		rec, ok, err := m.eng.Get(sel.Value)
-		if err != nil || !ok {
-			return nil, err
-		}
-		return []gdpr.Record{rec}, nil
-	}
-	return m.eng.Select(sel)
-}
-
 // CreateRecord implements DB.
 func (m *middleware) CreateRecord(a acl.Actor, rec gdpr.Record) error {
 	sp := m.begin(kCreate, a, "key")
@@ -329,44 +316,6 @@ func (m *middleware) createBatch(a acl.Actor, recs []gdpr.Record) error {
 	auditOp(m.log, a, "CREATE-RECORDS", fmt.Sprintf("%d records", len(recs)), err == nil, "")
 	m.finish(kCreateBatch, sp, err)
 	return err
-}
-
-// ReadData implements DB.
-func (m *middleware) ReadData(a acl.Actor, sel gdpr.Selector) ([]gdpr.Record, error) {
-	sp := m.begin(kReadData, a, string(sel.Attr))
-	var out []gdpr.Record
-	err := m.transitWrap(sp, "READ-DATA "+sel.String(), func() (string, error) {
-		recs, err := m.fetch(sel)
-		if err != nil {
-			return "", err
-		}
-		sp.EnterPhase(obs.PhaseACL)
-		out = filterACL(m.comp.AccessControl, a, acl.VerbReadData, recs, nil)
-		return encodeAll(out), nil
-	})
-	sp.EnterPhase(obs.PhaseAudit)
-	auditOp(m.log, a, "READ-DATA", sel.String(), err == nil, countNote(len(out)))
-	m.finish(kReadData, sp, err)
-	return out, err
-}
-
-// ReadMetadata implements DB.
-func (m *middleware) ReadMetadata(a acl.Actor, sel gdpr.Selector) ([]gdpr.Record, error) {
-	sp := m.begin(kReadMeta, a, string(sel.Attr))
-	var out []gdpr.Record
-	err := m.transitWrap(sp, "READ-META "+sel.String(), func() (string, error) {
-		recs, err := m.fetch(sel)
-		if err != nil {
-			return "", err
-		}
-		sp.EnterPhase(obs.PhaseACL)
-		out = redactData(filterACL(m.comp.AccessControl, a, acl.VerbReadMetadata, recs, nil))
-		return encodeAll(out), nil
-	})
-	sp.EnterPhase(obs.PhaseAudit)
-	auditOp(m.log, a, "READ-METADATA", sel.String(), err == nil, countNote(len(out)))
-	m.finish(kReadMeta, sp, err)
-	return out, err
 }
 
 // rmw atomically applies mutate to the record at key, re-verifying the
@@ -472,15 +421,11 @@ func (m *middleware) DeleteRecord(a acl.Actor, sel gdpr.Selector) (int, error) {
 				return "", err
 			}
 		} else {
-			recs, err := m.fetch(sel)
+			recs, err := Collect(StreamOf(m.eng, sel, WholeChunk))
 			if err != nil {
 				return "", err
 			}
-			recs = filterACL(m.comp.AccessControl, a, acl.VerbDelete, recs, nil)
-			keys = make([]string, len(recs))
-			for i, r := range recs {
-				keys[i] = r.Key
-			}
+			keys = keysInOrder(filterACL(m.comp.AccessControl, a, acl.VerbDelete, recs, nil))
 		}
 		if len(keys) == 0 {
 			return "0", nil

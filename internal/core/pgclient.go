@@ -190,28 +190,9 @@ func (e *relEngine) Get(key string) (gdpr.Record, bool, error) {
 	return recordFromRow(row), true, nil
 }
 
-// Select implements Engine.
+// Select implements Engine: the cursor's one whole chunk.
 func (e *relEngine) Select(sel gdpr.Selector) ([]gdpr.Record, error) {
-	if sel.Attr == gdpr.AttrKey {
-		rec, ok, err := e.Get(sel.Value)
-		if err != nil || !ok {
-			return nil, err
-		}
-		return []gdpr.Record{rec}, nil
-	}
-	pred, err := predicateFor(sel)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := e.db.Select(RecordsTable, pred)
-	if err != nil {
-		return nil, err
-	}
-	recs := make([]gdpr.Record, len(rows))
-	for i, row := range rows {
-		recs[i] = recordFromRow(row)
-	}
-	return recs, nil
+	return Collect(e.SelectStream(sel, WholeChunk))
 }
 
 // SelectKeys implements Engine: the planner's key-only projection.
@@ -269,7 +250,7 @@ func (e *relEngine) Features() map[string]string { return e.db.Features() }
 // indexes (what "database size" means for the relational engine);
 // personal bytes are the Data column alone.
 func (e *relEngine) SpaceUsage() (SpaceUsage, error) {
-	rows, err := e.db.Select(RecordsTable, relstore.All())
+	rows, err := e.db.SelectChunk(RecordsTable, relstore.All(), "", relstore.NoLimit)
 	if err != nil {
 		return SpaceUsage{}, err
 	}

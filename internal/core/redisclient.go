@@ -98,68 +98,29 @@ func indexable(sel gdpr.Selector) bool {
 	return !sel.Negate && index.IsDim(sel.Attr)
 }
 
-// Select implements Engine: O(1) for key lookups, O(result) through the
-// inverted metadata index when indexing is on, an O(n) scan otherwise.
+// Select implements Engine: the cursor's one whole chunk — O(1) for key
+// lookups, O(result) through the inverted metadata index when indexing
+// is on, an O(n) scan otherwise.
 func (e *kvEngine) Select(sel gdpr.Selector) ([]gdpr.Record, error) {
-	if sel.Attr == gdpr.AttrKey {
-		rec, ok, err := e.Get(sel.Value)
-		if err != nil || !ok {
-			return nil, err
-		}
-		return []gdpr.Record{rec}, nil
-	}
-	var out []gdpr.Record
-	var decodeErr error
-	visit := func(key, value string, _ time.Time) bool {
-		rec, err := gdpr.Decode(value)
-		if err != nil {
-			decodeErr = fmt.Errorf("core: record %q: %w", key, err)
-			return false
-		}
-		if sel.Matches(rec) {
-			out = append(out, rec)
-		}
-		return true
-	}
-	if indexable(sel) && e.store.IndexedForEach(sel.Attr, sel.Value, visit) {
-		return out, decodeErr
-	}
-	e.store.ForEach(visit)
-	return out, decodeErr
+	return Collect(e.SelectStream(sel, WholeChunk))
 }
 
 // SelectKeys implements Engine. TTL selectors come straight from the
 // engine's expiry tracking — the ordered expiry index (O(expired)) when
-// indexing is on, the expires dict otherwise; equality selectors use the
-// inverted index like Select.
+// indexing is on, the expires dict otherwise — and key selectors from
+// one existence probe; every other selector is Select's walk.
 func (e *kvEngine) SelectKeys(sel gdpr.Selector) ([]string, error) {
-	if sel.Attr == gdpr.AttrTTL {
+	switch sel.Attr {
+	case gdpr.AttrTTL:
 		return e.store.ExpiredKeys(), nil
-	}
-	if sel.Attr == gdpr.AttrKey {
+	case gdpr.AttrKey:
 		if e.store.Exists(sel.Value) {
 			return []string{sel.Value}, nil
 		}
 		return nil, nil
 	}
-	var out []string
-	var decodeErr error
-	visit := func(key, value string, _ time.Time) bool {
-		rec, err := gdpr.Decode(value)
-		if err != nil {
-			decodeErr = fmt.Errorf("core: record %q: %w", key, err)
-			return false
-		}
-		if sel.Matches(rec) {
-			out = append(out, key)
-		}
-		return true
-	}
-	if indexable(sel) && e.store.IndexedForEach(sel.Attr, sel.Value, visit) {
-		return out, decodeErr
-	}
-	e.store.ForEach(visit)
-	return out, decodeErr
+	recs, err := e.Select(sel)
+	return keysInOrder(recs), err
 }
 
 // Update implements Engine.
@@ -193,7 +154,7 @@ func (e *kvEngine) Features() map[string]string { return e.store.Info() }
 func (e *kvEngine) SpaceUsage() (SpaceUsage, error) {
 	var personal int64
 	var decodeErr error
-	e.store.ForEach(func(key, value string, _ time.Time) bool {
+	e.store.ScanChunk(0, WholeChunk, func(key, value string, _ time.Time) bool {
 		rec, err := gdpr.Decode(value)
 		if err != nil {
 			decodeErr = err

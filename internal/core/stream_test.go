@@ -2,6 +2,7 @@ package core
 
 import (
 	"io"
+	"reflect"
 	"testing"
 	"time"
 
@@ -108,7 +109,7 @@ func TestStreamDrainMatchesMaterializedSelect(t *testing.T) {
 			}
 			reg := RegulatorActor()
 			for _, sel := range streamSelectors(ds) {
-				for _, chunk := range []int{1, 3, 0} {
+				for _, chunk := range []int{1, 3, 0, WholeChunk} {
 					want, err := db.ReadMetadata(reg, sel)
 					if err != nil {
 						t.Fatal(err)
@@ -132,7 +133,7 @@ func TestStreamDrainMatchesMaterializedSelect(t *testing.T) {
 			// Data streams under a customer actor: per-chunk ACL filtering
 			// must equal the materialized filter.
 			cust := ds.CustomerActor(1)
-			for _, chunk := range []int{1, 0} {
+			for _, chunk := range []int{1, 0, WholeChunk} {
 				want, err := db.ReadData(cust, gdpr.ByUser(ds.UserName(1)))
 				if err != nil {
 					t.Fatal(err)
@@ -270,5 +271,43 @@ func TestStreamAuditsOnce(t *testing.T) {
 	}
 	if streamEntries != 1 {
 		t.Fatalf("completed stream wrote %d READ-METADATA-STREAM audit entries, want exactly 1", streamEntries)
+	}
+}
+
+// TestFailedReadAuditNote: a selector read that fails is audited by one
+// rule whichever shape asked for it — a failed READ-DATA and a stream
+// that fails to open both leave one not-OK entry noting n=0.
+func TestFailedReadAuditNote(t *testing.T) {
+	sim := clock.NewSim(time.Unix(1_500_000_000, 0))
+	db := streamProfiles()[3].open(t, sim) // postgres, logging on
+	sr := db.(StreamReader)
+	reg := RegulatorActor()
+	// DATA has no relational predicate, so every shape fails to resolve it.
+	sel := gdpr.Selector{Attr: gdpr.AttrData, Value: "x"}
+	if _, err := db.ReadData(reg, sel); err == nil {
+		t.Fatal("READ-DATA by DATA resolved on the postgres model")
+	}
+	if _, err := sr.ReadDataStream(reg, sel, 4); err == nil {
+		t.Fatal("READ-DATA-STREAM by DATA opened on the postgres model")
+	}
+	if _, err := sr.ReadMetadataStream(reg, sel, 0); err == nil {
+		t.Fatal("READ-METADATA-STREAM by DATA opened on the postgres model")
+	}
+	entries, err := db.GetSystemLogs(reg, sim.Now().Add(-time.Hour), sim.Now().Add(time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]string{}
+	for _, e := range entries {
+		if e.Actor == reg.String() && e.Target == sel.String() {
+			if e.OK {
+				t.Fatalf("failed %s audited as OK", e.Op)
+			}
+			got[e.Op] = e.Note
+		}
+	}
+	want := map[string]string{"READ-DATA": "n=0", "READ-DATA-STREAM": "n=0", "READ-METADATA-STREAM": "n=0"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("failed-read audit notes = %v, want %v", got, want)
 	}
 }

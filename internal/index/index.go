@@ -105,37 +105,16 @@ func (ix *Inverted) Remove(key string, rec gdpr.Record) {
 	}
 }
 
-// Lookup returns the keys posted under (attr, value) in sorted order —
-// O(result log result), independent of the keyspace size. ok is false
-// when attr is not an inverted-indexed dimension (callers fall back to
-// their scan path).
-func (ix *Inverted) Lookup(attr gdpr.Attribute, value string) (keys []string, ok bool) {
-	vals, ok := ix.dims[attr]
-	if !ok {
-		return nil, false
-	}
-	set := vals[value]
-	if len(set) == 0 {
-		return nil, true
-	}
-	keys = make([]string, 0, len(set))
-	for k := range set {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys, true
-}
-
 // LookupChunk returns up to limit keys posted under (attr, value) that
 // sort strictly after `after`, in ascending key order, plus the largest
 // posting examined (the caller's safe resume bound when the chunk came
-// back full). Unlike Lookup it never materializes the full posting
-// list: candidates stream through a bounded max-heap, so the working
-// set is O(limit) regardless of posting-list size — the property the
-// streaming selector path needs. full reports that the posting list
-// held more than limit candidates past `after` (so keys beyond last
-// remain unexamined); ok is false when attr is not an inverted
-// dimension.
+// back full) — O(result log result), independent of the keyspace size.
+// full reports that the posting list held more than limit candidates
+// past `after` (so keys beyond last remain unexamined); ok is false when
+// attr is not an inverted dimension (callers fall back to their scan
+// path). A limit that covers the posting list collects and sorts it;
+// a smaller one streams candidates through a bounded max-heap, so the
+// working set is O(limit) however long the list is.
 func (ix *Inverted) LookupChunk(attr gdpr.Attribute, value, after string, limit int) (keys []string, last string, full, ok bool) {
 	vals, ok := ix.dims[attr]
 	if !ok {
@@ -145,14 +124,23 @@ func (ix *Inverted) LookupChunk(attr gdpr.Attribute, value, after string, limit 
 	if len(set) == 0 || limit <= 0 {
 		return nil, "", false, true
 	}
-	hcap := limit
-	if hcap > len(set) {
-		hcap = len(set)
+	if limit >= len(set) {
+		keys = make([]string, 0, len(set))
+		for k := range set {
+			if k > after {
+				keys = append(keys, k)
+			}
+		}
+		if len(keys) == 0 {
+			return nil, "", false, true
+		}
+		sort.Strings(keys)
+		return keys, keys[len(keys)-1], false, true
 	}
 	// Bounded selection: a max-heap of the limit smallest candidates
 	// past the cursor. Anything evicted from the heap sorts after every
 	// retained key, so the heap's max is the resume bound.
-	h := make([]string, 0, hcap)
+	h := make([]string, 0, limit)
 	for k := range set {
 		if k <= after {
 			continue

@@ -2,6 +2,7 @@ package index
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -21,6 +22,15 @@ func rec(key, user string, purposes, objections, decisions, shares []string) gdp
 			SharedWith: shares,
 		},
 	}
+}
+
+// lookupAll is LookupChunk asked for the whole posting list.
+func lookupAll(ix *Inverted, attr gdpr.Attribute, value string) ([]string, bool) {
+	keys, _, full, ok := ix.LookupChunk(attr, value, "", math.MaxInt)
+	if full {
+		panic("a whole-list lookup came back full")
+	}
+	return keys, ok
 }
 
 func TestInvertedInsertLookupRemove(t *testing.T) {
@@ -44,7 +54,7 @@ func TestInvertedInsertLookupRemove(t *testing.T) {
 		{gdpr.AttrPurpose, "absent", nil},
 	}
 	for _, c := range cases {
-		got, ok := ix.Lookup(c.attr, c.value)
+		got, ok := lookupAll(ix, c.attr, c.value)
 		if !ok {
 			t.Fatalf("Lookup(%s,%s) not served", c.attr, c.value)
 		}
@@ -52,20 +62,56 @@ func TestInvertedInsertLookupRemove(t *testing.T) {
 			t.Fatalf("Lookup(%s,%s) = %v, want %v", c.attr, c.value, got, c.want)
 		}
 	}
-	if _, ok := ix.Lookup(gdpr.AttrSource, "web"); ok {
+	if _, ok := lookupAll(ix, gdpr.AttrSource, "web"); ok {
 		t.Fatal("SRC must not be an inverted dimension")
 	}
-	if _, ok := ix.Lookup(gdpr.AttrTTL, "x"); ok {
+	if _, ok := lookupAll(ix, gdpr.AttrTTL, "x"); ok {
 		t.Fatal("TTL must not be an inverted dimension")
 	}
 
 	ix.Remove("k1", r1)
-	if got, _ := ix.Lookup(gdpr.AttrUser, "alice"); !reflect.DeepEqual(got, []string{"k2"}) {
+	if got, _ := lookupAll(ix, gdpr.AttrUser, "alice"); !reflect.DeepEqual(got, []string{"k2"}) {
 		t.Fatalf("after remove: %v", got)
 	}
 	ix.Remove("k2", r2)
 	if ix.Bytes() != 0 {
 		t.Fatalf("bytes = %d after removing everything", ix.Bytes())
+	}
+}
+
+// TestLookupChunkWalksMatchWholeList: walking a posting list in chunks
+// (the bounded-heap path) from any resume point yields exactly the
+// whole-list lookup (the collect-and-sort path) past that point.
+func TestLookupChunkWalksMatchWholeList(t *testing.T) {
+	ix := NewInverted()
+	for i := 0; i < 37; i++ {
+		k := fmt.Sprintf("k%02d", (i*7)%37)
+		ix.Insert(k, rec(k, "u", nil, nil, nil, nil))
+	}
+	whole, _ := lookupAll(ix, gdpr.AttrUser, "u")
+	if len(whole) != 37 {
+		t.Fatalf("whole list has %d keys", len(whole))
+	}
+	for _, limit := range []int{1, 5, 36, 37} {
+		var got []string
+		after := ""
+		for {
+			keys, last, full, ok := ix.LookupChunk(gdpr.AttrUser, "u", after, limit)
+			if !ok || len(keys) > limit {
+				t.Fatalf("limit %d: ok=%v, %d keys", limit, ok, len(keys))
+			}
+			got = append(got, keys...)
+			if !full {
+				break
+			}
+			after = last
+		}
+		if !reflect.DeepEqual(got, whole) {
+			t.Fatalf("limit %d walk = %v, want %v", limit, got, whole)
+		}
+	}
+	if keys, _, _, _ := ix.LookupChunk(gdpr.AttrUser, "u", "k30", math.MaxInt); !reflect.DeepEqual(keys, whole[31:]) {
+		t.Fatalf("whole-list lookup past k30 = %v", keys)
 	}
 }
 
@@ -86,7 +132,7 @@ func TestInvertedBytesAccounting(t *testing.T) {
 	if ix.Bytes() != 0 {
 		t.Fatalf("bytes after reset = %d", ix.Bytes())
 	}
-	if got, _ := ix.Lookup(gdpr.AttrUser, "u"); got != nil {
+	if got, _ := lookupAll(ix, gdpr.AttrUser, "u"); got != nil {
 		t.Fatalf("lookup after reset = %v", got)
 	}
 }

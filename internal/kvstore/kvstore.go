@@ -22,10 +22,10 @@
 // reader/writer lock and carrying its own dicts, key order and
 // metadata/expiry indexes; every command locks the stripe of the key it
 // touches, and the AOF is one sink behind internal/logpipe. Commands are
-// linearizable per key; multi-key operations (Del over several keys,
-// ForEach, Scan) observe the stripes per-stripe-consistently rather than
-// under one global snapshot — the contract the shard router already gives
-// cross-shard queries. Config.Striping picks two things and nothing else:
+// linearizable per key; multi-key operations (Del over several keys, the
+// selector walks, Scan) observe the stripes per-stripe-consistently
+// rather than under one global snapshot — the contract the shard router
+// already gives cross-shard queries. Config.Striping picks two things and nothing else:
 //
 //	Striping  stripes   read visits (rlock)   AOF write (stage)
 //	0         1         exclusive             logpipe.Direct: encode, write and
@@ -53,8 +53,6 @@ package kvstore
 import (
 	"fmt"
 	"os"
-	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -222,7 +220,7 @@ type Store struct {
 	logReads bool
 	mode     ExpiryMode
 
-	fullScans atomic.Int64 // full-keyspace scans served (ForEach)
+	fullScans atomic.Int64 // full-keyspace scan walks served (ScanChunk)
 	closed    atomic.Bool
 	obsColl   *obs.CollectorHandle
 
@@ -263,7 +261,7 @@ func nextPow2(n int) int {
 type Stats struct {
 	// Stripes is the number of hash stripes (1 at Striping = 0).
 	Stripes int
-	// FullScans counts full-keyspace ForEach scans served.
+	// FullScans counts full-keyspace scan walks served.
 	FullScans int64
 	// Bytes is the dataset's in-memory footprint (key+value bytes).
 	Bytes int64
@@ -452,15 +450,15 @@ func (s *Store) runlock(st *stripe) {
 	st.mu.Unlock()
 }
 
-// copied / scanned are runlock split in two for the selector scans
-// (ForEach, IndexedForEach), which copy their matches out and then run
-// the caller's fn over the copy. copied marks the end of st's copy-out
-// and scanned the end of the whole scan; a shared hold (Striping > 0) is
-// released at copied, so fn runs outside any lock, while the exclusive
-// hold (Striping = 0, one stripe) lasts until scanned — predicate
-// evaluation is paid inside the serialized command core, as in Redis,
-// which is what makes Figure 7b's completion time grow with the dataset
-// whatever the client thread count.
+// copied / scanned are runlock split in two for the selector walks
+// (IndexedChunk, ScanChunk), which copy their matches out and then run
+// the caller's fn over the copy — at any limit, whole result or one
+// chunk. copied marks the end of st's copy-out and scanned the end of
+// the whole walk; a shared hold (Striping > 0) is released at copied, so
+// fn runs outside any lock, while the exclusive hold (Striping = 0, one
+// stripe) lasts until scanned — predicate evaluation is paid inside the
+// serialized command core, as in Redis, which is what makes Figure 7b's
+// completion time grow with the dataset whatever the client thread count.
 func (s *Store) copied(st *stripe) {
 	if s.striped {
 		st.mu.RUnlock()
@@ -473,8 +471,8 @@ func (s *Store) scanned() {
 	}
 }
 
-// kvScratch / partsScratch pool the selector copy-out buffers
-// (gather/ForEach/IndexedForEach). Elements are cleared on Put, so
+// kvScratch / partsScratch pool the selector walks' copy-out buffers.
+// Elements are cleared on Put, so
 // pooled scratch never extends the lifetime of gathered values — the
 // copy-on-checkout contract internal/pool documents.
 var (
@@ -643,22 +641,30 @@ func (st *stripe) expireIfDue(key string, now time.Time) bool {
 	return true
 }
 
-// scatter is the selector scans' first half: collect runs on every stripe
-// in parallel, each under its read lock, copying that stripe's matches
-// out of a pooled kvScratch slice. The visits end at copied, so the
-// caller owes scanned once fn has run, and putParts for the result.
+// scatter is the indexed walk's first half: collect runs on every stripe
+// in parallel (inline when there is one), each under its read lock,
+// copying that stripe's matches out of a pooled kvScratch slice. The
+// visits end at copied, so the caller owes scanned once fn has run, and
+// putParts for the result.
 func (s *Store) scatter(collect func(st *stripe) []kv) [][]kv {
 	parts := partsScratch.Get(len(s.stripes))
 	parts = parts[:len(s.stripes)]
+	visit := func(i int) {
+		st := &s.stripes[i]
+		s.rlock(st)
+		defer s.copied(st)
+		parts[i] = collect(st)
+	}
+	if len(s.stripes) == 1 {
+		visit(0)
+		return parts
+	}
 	var wg sync.WaitGroup
 	for i := range s.stripes {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			st := &s.stripes[i]
-			s.rlock(st)
-			defer s.copied(st)
-			parts[i] = collect(st)
+			visit(i)
 		}(i)
 	}
 	wg.Wait()
@@ -1026,108 +1032,9 @@ func (s *Store) MemoryBytes() int64 {
 	return s.sumStripes(func(st *stripe) int64 { return st.bytes })
 }
 
-// ForEach invokes fn for every live (unexpired) key, stopping early if
-// fn returns false. This is the engine's only way to evaluate attribute
-// predicates — the O(n) scan the paper attributes to Redis' lack of
-// secondary indexes. Expired-but-unreaped keys are skipped (and counted)
-// but not deleted. Every stripe is gathered in parallel under its own
-// read lock and fn runs afterwards over the copy-out — per-stripe
-// consistent, not a global snapshot (the shard router's scatter-gather
-// contract). With Striping > 0 fn runs outside any lock; at Striping = 0
-// the store stays locked until fn is done (see copied/scanned). fn must
-// not call back into the store.
-func (s *Store) ForEach(fn func(key, value string, expireAt time.Time) bool) {
-	s.fullScans.Add(1)
-	now := s.clk.Now()
-	parts := s.scatter(func(st *stripe) []kv {
-		out := kvScratch.Get(len(st.keySlice))
-		for _, k := range st.keySlice {
-			e := st.dict[k]
-			if !e.expireAt.IsZero() && !e.expireAt.After(now) {
-				continue
-			}
-			out = append(out, kv{k, e.value, e.expireAt})
-		}
-		return out
-	})
-	defer s.scanned()
-	defer putParts(parts)
-	defer s.logRead(opScan, "*")
-	for _, part := range parts {
-		for _, item := range part {
-			if !fn(item.key, item.value, item.expireAt) {
-				return
-			}
-		}
-	}
-}
-
-// IndexedForEach resolves the records whose attr metadata contains value
-// through the inverted metadata index and invokes fn for each live
-// (unexpired) one in sorted key order — O(result) instead of ForEach's
-// O(n). It reports false, having visited nothing, when metadata indexing
-// is off or attr is not an inverted dimension; callers then fall back to
-// the scan. Expired-but-unreaped keys are skipped but not deleted,
-// mirroring ForEach's semantics exactly so the two access paths stay
-// byte-equivalent. Each stripe's posting shard is looked up in parallel
-// and the results merged; fn runs over the merged copy-out, under the
-// same locking as ForEach's.
-func (s *Store) IndexedForEach(attr gdpr.Attribute, value string, fn func(key, value string, expireAt time.Time) bool) bool {
-	if s.stripes[0].meta == nil {
-		return false
-	}
-	now := s.clk.Now()
-	// Lookup's ok depends only on whether attr is an indexed dimension,
-	// so every stripe agrees.
-	dim := atomic.Bool{}
-	dim.Store(true)
-	parts := s.scatter(func(st *stripe) []kv {
-		keys, ok := st.meta.Lookup(attr, value)
-		if !ok {
-			dim.Store(false)
-			return nil
-		}
-		out := kvScratch.Get(len(keys))
-		for _, k := range keys {
-			e := st.dict[k]
-			if e == nil {
-				continue
-			}
-			if !e.expireAt.IsZero() && !e.expireAt.After(now) {
-				continue
-			}
-			out = append(out, kv{k, e.value, e.expireAt})
-		}
-		return out
-	})
-	defer s.scanned()
-	defer putParts(parts)
-	if !dim.Load() {
-		return false
-	}
-	total := 0
-	for _, part := range parts {
-		total += len(part)
-	}
-	merged := kvScratch.Get(total)
-	defer func() { kvScratch.Put(merged) }()
-	for _, part := range parts {
-		merged = append(merged, part...)
-	}
-	// Per-stripe postings come back sorted; restore the global sorted
-	// key order.
-	slices.SortFunc(merged, func(a, b kv) int { return strings.Compare(a.key, b.key) })
-	for _, item := range merged {
-		if !fn(item.key, item.value, item.expireAt) {
-			break
-		}
-	}
-	s.logRead(opIdxScan, string(attr)+"="+value)
-	return true
-}
-
-// FullScans reports how many full-keyspace scans (ForEach) the store has
-// served; the indexing tests pin that indexed selectors perform none.
+// FullScans reports how many full-keyspace scan walks (ScanChunk from
+// cursor 0) the store has served; the indexing tests pin that indexed
+// selectors perform none.
 func (s *Store) FullScans() int64 { return s.fullScans.Load() }
 
 // IndexBytes approximates the memory held by the metadata-index layer

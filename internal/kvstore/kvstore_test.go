@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"sync"
@@ -166,12 +167,12 @@ func TestForEachSkipsExpired(t *testing.T) {
 	s.SetWithExpiry("dead", "v", sim.Now().Add(time.Second))
 	sim.Advance(time.Minute)
 	var seen []string
-	s.ForEach(func(k, v string, _ time.Time) bool {
+	s.ScanChunk(0, math.MaxInt, func(k, v string, _ time.Time) bool {
 		seen = append(seen, k)
 		return true
 	})
 	if len(seen) != 1 || seen[0] != "live" {
-		t.Fatalf("ForEach saw %v", seen)
+		t.Fatalf("ScanChunk saw %v", seen)
 	}
 }
 
@@ -181,7 +182,7 @@ func TestForEachEarlyStop(t *testing.T) {
 		s.Set(fmt.Sprintf("k%d", i), "v")
 	}
 	n := 0
-	s.ForEach(func(string, string, time.Time) bool {
+	s.ScanChunk(0, math.MaxInt, func(string, string, time.Time) bool {
 		n++
 		return n < 3
 	})
@@ -303,9 +304,9 @@ func TestConcurrentMixedOps(t *testing.T) {
 	wg.Wait()
 	// Internal key index must be consistent with the dict.
 	n := 0
-	s.ForEach(func(string, string, time.Time) bool { n++; return true })
+	s.ScanChunk(0, math.MaxInt, func(string, string, time.Time) bool { n++; return true })
 	if n != s.DBSize() {
-		t.Fatalf("ForEach saw %d keys, DBSize = %d", n, s.DBSize())
+		t.Fatalf("ScanChunk saw %d keys, DBSize = %d", n, s.DBSize())
 	}
 }
 
@@ -365,7 +366,7 @@ func TestStoreMatchesModelProperty(t *testing.T) {
 		expireModel(sim.Now())
 		live := 0
 		okAll := true
-		s.ForEach(func(k, v string, _ time.Time) bool {
+		s.ScanChunk(0, math.MaxInt, func(k, v string, _ time.Time) bool {
 			live++
 			if m, ok := model[k]; !ok || m.v != v {
 				okAll = false
@@ -470,7 +471,7 @@ func TestAOFLogsReads(t *testing.T) {
 	s.Get("k")
 	s.Get("nope")
 	s.Scan(0, 10)
-	s.ForEach(func(string, string, time.Time) bool { return true })
+	s.ScanChunk(0, math.MaxInt, func(string, string, time.Time) bool { return true })
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}

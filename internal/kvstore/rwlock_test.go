@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"fmt"
+	"math"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -183,8 +184,9 @@ func TestStripedReadersShareTheLock(t *testing.T) {
 	}
 }
 
-// TestSelectorFnLockHold pins where the selector scans run fn. At
-// Striping = 0 the store stays exclusively locked until fn is done —
+// TestSelectorFnLockHold pins where the selector walks run fn, at both
+// batch sizes (one whole-result call, and a cursor of 5-entry chunks).
+// At Striping = 0 the store stays exclusively locked until fn is done —
 // predicate evaluation is part of the serialized command, the Figure 7b
 // cost model — and the lock is free again on every way out (full walk,
 // early stop, unindexed dimension). With Striping > 0 fn runs over the
@@ -213,34 +215,43 @@ func TestSelectorFnLockHold(t *testing.T) {
 				}
 				return true
 			}
-			for _, stop := range []bool{false, true} {
-				visits := 0
-				visit := func(string, string, time.Time) bool {
-					visits++
-					if got, want := free(), striping > 0; got != want {
-						t.Errorf("stripe locks free inside fn = %v, want %v", got, want)
+			for _, limit := range []int{math.MaxInt, 5} {
+				for _, stop := range []bool{false, true} {
+					visits, stopped := 0, false
+					visit := func(string, string, time.Time) bool {
+						visits++
+						if got, want := free(), striping > 0; got != want {
+							t.Errorf("stripe locks free inside fn = %v, want %v", got, want)
+						}
+						stopped = stop
+						return !stop
 					}
-					return !stop
-				}
-				s.ForEach(visit)
-				if !free() {
-					t.Fatalf("ForEach(stop=%v) left a stripe locked", stop)
-				}
-				if !s.IndexedForEach(gdpr.AttrUser, "u1", visit) {
-					t.Fatal("IndexedForEach: USR is an indexed dimension")
-				}
-				if !free() {
-					t.Fatalf("IndexedForEach(stop=%v) left a stripe locked", stop)
-				}
-				if want := map[bool]int{false: 64, true: 2}[stop]; visits != want {
-					t.Fatalf("stop=%v: fn ran %d times, want %d", stop, visits, want)
+					for cursor, done := 0, false; !done && !stopped; {
+						cursor, done = s.ScanChunk(cursor, limit, visit)
+						if !free() {
+							t.Fatalf("ScanChunk(limit=%d, stop=%v) left a stripe locked", limit, stop)
+						}
+					}
+					stopped = false
+					for after, done := "", false; !done && !stopped; {
+						var ok bool
+						if after, done, ok = s.IndexedChunk(gdpr.AttrUser, "u1", after, limit, visit); !ok {
+							t.Fatal("IndexedChunk: USR is an indexed dimension")
+						}
+						if !free() {
+							t.Fatalf("IndexedChunk(limit=%d, stop=%v) left a stripe locked", limit, stop)
+						}
+					}
+					if want := map[bool]int{false: 64, true: 2}[stop]; visits != want {
+						t.Fatalf("limit=%d stop=%v: fn ran %d times, want %d", limit, stop, visits, want)
+					}
 				}
 			}
-			if s.IndexedForEach(gdpr.AttrData, "d", func(string, string, time.Time) bool { return true }) {
-				t.Fatal("IndexedForEach: DATA is not an indexed dimension")
+			if _, _, ok := s.IndexedChunk(gdpr.AttrData, "d", "", math.MaxInt, func(string, string, time.Time) bool { return true }); ok {
+				t.Fatal("IndexedChunk: DATA is not an indexed dimension")
 			}
 			if !free() {
-				t.Fatal("IndexedForEach on an unindexed dimension left a stripe locked")
+				t.Fatal("IndexedChunk on an unindexed dimension left a stripe locked")
 			}
 		})
 	}

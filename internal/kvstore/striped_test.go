@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -25,7 +26,7 @@ import (
 // lines for cross-profile comparison.
 func snapshot(s *Store) []string {
 	var out []string
-	s.ForEach(func(k, v string, at time.Time) bool {
+	s.ScanChunk(0, math.MaxInt, func(k, v string, at time.Time) bool {
 		out = append(out, fmt.Sprintf("%s=%s|%d", k, v, at.UnixNano()))
 		return true
 	})
@@ -401,7 +402,7 @@ func TestStripedConcurrentStress(t *testing.T) {
 					}
 				case 6:
 					n := 0
-					s.ForEach(func(string, string, time.Time) bool {
+					s.ScanChunk(0, math.MaxInt, func(string, string, time.Time) bool {
 						n++
 						return n < 20
 					})

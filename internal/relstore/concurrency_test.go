@@ -84,12 +84,12 @@ func TestConcurrentMixedStress(t *testing.T) {
 						return
 					}
 				case 1:
-					if _, err := db.Select("records", Eq("usr", fmt.Sprintf("u%d", r.Intn(writers)))); err != nil {
+					if _, err := selectAll(db, "records", Eq("usr", fmt.Sprintf("u%d", r.Intn(writers)))); err != nil {
 						t.Error(err)
 						return
 					}
 				case 2:
-					if _, err := db.Select("records", Contains("pur", "ads")); err != nil {
+					if _, err := selectAll(db, "records", Contains("pur", "ads")); err != nil {
 						t.Error(err)
 						return
 					}
@@ -199,7 +199,7 @@ func TestSnapshotReadsSeeAtomicRows(t *testing.T) {
 					return
 				}
 				for _, state := range []string{"x", "y"} {
-					rows, err := db.Select("records", Eq("usr", state))
+					rows, err := selectAll(db, "records", Eq("usr", state))
 					if err != nil {
 						t.Error(err)
 						return

@@ -675,24 +675,6 @@ func (db *DB) Delete(table, pk string) (bool, error) {
 	return existed, err
 }
 
-// Select returns the rows matching pred, using a secondary index when one
-// covers the predicate column (see Explain).
-func (db *DB) Select(table string, pred Predicate) ([]Row, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	t, err := db.tableLocked(table)
-	if err != nil {
-		return nil, err
-	}
-	v := t.reader()
-	rows, _, err := v.runSelect(pred)
-	if err != nil {
-		return nil, err
-	}
-	db.logStatement("SELECT", table, pred.String(), len(rows), true)
-	return rows, nil
-}
-
 // SelectKeys returns the primary keys matching pred: a key-only
 // projection that materializes no rows on either access path.
 func (db *DB) SelectKeys(table string, pred Predicate) ([]string, error) {

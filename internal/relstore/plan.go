@@ -75,7 +75,7 @@ type Plan struct {
 	Index string
 }
 
-// Explain reports the access path Select would use for pred on table.
+// Explain reports the access path SelectChunk would use for pred on table.
 func (db *DB) Explain(table string, pred Predicate) (Plan, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -179,48 +179,6 @@ func (v *view) indexPKs(pred Predicate) (pks []string, ok bool) {
 		return v.indexRangeLE(pred.Col, encodeIndexScalar(TypeTime, pred.Time))
 	}
 	return nil, false
-}
-
-// runSelect executes pred on one table version, returning matching rows
-// (clones) and their primary keys in primary-key order. The view is
-// either a published snapshot (lock-free reads) or the live view under
-// the table's write lock (read-modify-write operations).
-func (v *view) runSelect(pred Predicate) ([]Row, []string, error) {
-	if err := v.checkPredicate(pred); err != nil {
-		return nil, nil, err
-	}
-	if v.plan(pred).Access == "index" {
-		if pks, ok := v.indexPKs(pred); ok {
-			sort.Strings(pks)
-			rows := make([]Row, 0, len(pks))
-			for _, pk := range pks {
-				if row, exists := v.get(pk); exists {
-					rows = append(rows, row)
-				}
-			}
-			return rows, pks, nil
-		}
-	}
-	// Sequential scan.
-	var rows []Row
-	var pks []string
-	var scanErr error
-	v.scanAll(func(pk string, row Row) bool {
-		ok, err := v.matches(pred, row)
-		if err != nil {
-			scanErr = err
-			return false
-		}
-		if ok {
-			rows = append(rows, row.Clone())
-			pks = append(pks, pk)
-		}
-		return true
-	})
-	if scanErr != nil {
-		return nil, nil, scanErr
-	}
-	return rows, pks, nil
 }
 
 // selectKeys executes pred returning only the matching primary keys in

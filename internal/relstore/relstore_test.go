@@ -16,6 +16,11 @@ import (
 	"repro/internal/wal"
 )
 
+// selectAll is the whole-result select: one chunk no result can fill.
+func selectAll(db *DB, table string, pred Predicate) ([]Row, error) {
+	return db.SelectChunk(table, pred, "", NoLimit)
+}
+
 func testSchema() Schema {
 	return Schema{
 		Name: "records",
@@ -158,7 +163,7 @@ func TestUnknownTableErrors(t *testing.T) {
 	if _, _, err := db.Get("nope", "k"); err == nil {
 		t.Fatal("get from unknown table")
 	}
-	if _, err := db.Select("nope", All()); err == nil {
+	if _, err := selectAll(db, "nope", All()); err == nil {
 		t.Fatal("select from unknown table")
 	}
 	if err := db.CreateIndex("nope", "usr"); err == nil {
@@ -232,7 +237,7 @@ func TestSelectTypeErrors(t *testing.T) {
 		{Op: PredOp(99), Col: "usr"},
 	}
 	for i, p := range bad {
-		if _, err := db.Select("records", p); err == nil {
+		if _, err := selectAll(db, "records", p); err == nil {
 			t.Fatalf("predicate %d should fail", i)
 		}
 	}
@@ -461,7 +466,7 @@ func TestStatementLogging(t *testing.T) {
 	db := openDB(t, Config{Audit: log, LogStatements: true})
 	db.Insert("records", row("k1", "d", "neo", time.Time{}, nil, 0))
 	db.Get("records", "k1")
-	db.Select("records", Eq("usr", "neo"))
+	selectAll(db, "records", Eq("usr", "neo"))
 	db.Delete("records", "k1")
 	if got := log.Total(); got != 4 {
 		t.Fatalf("audit entries = %d, want 4", got)
@@ -654,7 +659,7 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 					return
 				}
 				if i%10 == 0 {
-					if _, err := db.Select("records", Eq("usr", fmt.Sprintf("u%d", w))); err != nil {
+					if _, err := selectAll(db, "records", Eq("usr", fmt.Sprintf("u%d", w))); err != nil {
 						t.Error(err)
 						return
 					}
@@ -760,7 +765,7 @@ func BenchmarkSelectByUserIndexed(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.Select("records", Eq("usr", fmt.Sprintf("u%d", i%1000))); err != nil {
+		if _, err := selectAll(db, "records", Eq("usr", fmt.Sprintf("u%d", i%1000))); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -777,7 +782,7 @@ func BenchmarkSelectByUserSeqScan(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.Select("records", Eq("usr", fmt.Sprintf("u%d", i%1000))); err != nil {
+		if _, err := selectAll(db, "records", Eq("usr", fmt.Sprintf("u%d", i%1000))); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -607,26 +607,15 @@ func (s *Server) execute(role acl.Role, sess *session, msg wire.Message) wire.Me
 const maxStreamChunk = 4096
 
 // openCursor builds the session cursor behind SELECT-STREAM: the DB's
-// native streaming read when it implements core.StreamReader (the
-// middleware does), otherwise — the materializing ablation, selected by
-// hosting a DB without streaming support — a one-shot ReadData chunked
-// through a SliceCursor. Compliance runs server-side on both paths.
+// own streaming read, compliance and all. A DB that cannot stream is
+// refused with a structured error rather than served by materializing.
 func (s *Server) openCursor(a acl.Actor, sel gdpr.Selector, chunk int, meta bool) (core.RecordCursor, error) {
-	if sr, ok := s.db.(core.StreamReader); ok {
-		if meta {
-			return sr.ReadMetadataStream(a, sel, chunk)
-		}
-		return sr.ReadDataStream(a, sel, chunk)
+	sr, ok := s.db.(core.StreamReader)
+	if !ok {
+		return nil, fmt.Errorf("server: SELECT-STREAM needs a streaming DB; %T does not stream", s.db)
 	}
-	var recs []gdpr.Record
-	var err error
 	if meta {
-		recs, err = s.db.ReadMetadata(a, sel)
-	} else {
-		recs, err = s.db.ReadData(a, sel)
+		return sr.ReadMetadataStream(a, sel, chunk)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return core.SliceCursor(recs, chunk), nil
+	return sr.ReadDataStream(a, sel, chunk)
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -160,6 +161,33 @@ func TestStreamCursorCap(t *testing.T) {
 	}
 	if open() == nil {
 		t.Fatal("cursor slot not freed by StreamClose")
+	}
+}
+
+// TestStreamRefusedByNonStreamingDB: SELECT-STREAM against a DB that is
+// not a core.StreamReader is answered with a structured error — no
+// cursor is opened, nothing is materialized — and the session stays
+// usable for ordinary reads.
+func TestStreamRefusedByNonStreamingDB(t *testing.T) {
+	db := openTestDB(t)
+	loadServerRecords(t, db, 3)
+	reg := obs.NewRegistry(nil)
+	_, addr := startServer(t, struct{ core.DB }{db}, Config{Obs: reg})
+
+	c := dialRaw(t, addr)
+	if _, ok := c.hello(acl.Controller, "").(*wire.HelloOK); !ok {
+		t.Fatal("handshake failed")
+	}
+	c.send(&wire.SelectStream{Actor: core.ControllerActor(), Sel: gdpr.ByUser("neo"), Chunk: 2})
+	if m, ok := c.recv().(*wire.ErrorResp); !ok || !strings.Contains(m.Msg, "does not stream") {
+		t.Fatalf("SELECT-STREAM on a non-streaming DB answered %v, want a structured error", m)
+	}
+	if got := reg.Snapshot(false).Gauge("server_cursors_open"); got != 0 {
+		t.Fatalf("server_cursors_open = %d after a refused stream", got)
+	}
+	c.send(&wire.ReadData{Actor: core.ControllerActor(), Sel: gdpr.ByUser("neo")})
+	if m, ok := c.recv().(*wire.Records); !ok || len(m.Recs) != 3 {
+		t.Fatalf("READ-DATA after a refused stream answered %v", m)
 	}
 }
 

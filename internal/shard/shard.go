@@ -176,26 +176,17 @@ func (r *Router) Get(key string) (gdpr.Record, bool, error) {
 	return r.shardFor(key).Get(key)
 }
 
-// Select implements core.Engine: key selectors route to one shard;
-// attribute selectors scatter to every shard in parallel and gather the
-// merged result set.
+// Select implements core.Engine: SelectStream at core.WholeChunk,
+// drained — key selectors route to one shard; attribute selectors run
+// every shard's Select in parallel, one whole chunk each, and gather
+// them in shard order.
 func (r *Router) Select(sel gdpr.Selector) ([]gdpr.Record, error) {
-	if sel.Attr == gdpr.AttrKey {
-		return r.shardFor(sel.Value).Select(sel)
-	}
-	parts := make([][]gdpr.Record, len(r.shards))
-	err := r.scatter(func(_ context.Context, i int, e core.Engine) error {
-		recs, err := e.Select(sel)
-		parts[i] = recs
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return flatten(parts), nil
+	return core.Collect(r.SelectStream(sel, core.WholeChunk))
 }
 
-// SelectKeys implements core.Engine with the same scatter-gather shape.
+// SelectKeys implements core.Engine: key selectors route to one shard;
+// attribute selectors scatter to every shard in parallel and gather the
+// merged key set.
 func (r *Router) SelectKeys(sel gdpr.Selector) ([]string, error) {
 	if sel.Attr == gdpr.AttrKey {
 		return r.shardFor(sel.Value).SelectKeys(sel)
@@ -294,10 +285,11 @@ func flatten[T any](parts [][]T) []T {
 
 // SelectStream implements core.StreamEngine: key selectors stream from
 // their one owning shard; attribute selectors run one streaming worker
-// per shard, each driving that shard's cursor into a buffered channel,
-// while the merge cursor drains the shards in index order — the same
-// concatenation flatten gives the materialized path, so chunked and
-// materialized results agree byte-for-byte on a quiescent fleet.
+// per shard, each driving that shard's cursor (core.StreamOf: at
+// core.WholeChunk, the shard's own Select as one chunk) into a buffered
+// channel, while the merge cursor drains the shards in index order — so
+// chunked and whole-result reads agree byte-for-byte on a quiescent
+// fleet.
 //
 // Memory stays bounded at O(shards x chunk): each worker holds at most
 // one chunk in flight plus one parked in its channel, so a slow

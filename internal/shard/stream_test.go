@@ -57,7 +57,7 @@ func TestShardStreamingTranscriptMatchesMaterialized(t *testing.T) {
 				return difftest.Transcript(t, under, ds, sim)
 			}
 			want := run(0, false)
-			for _, chunk := range []int{1, 3, 0} {
+			for _, chunk := range []int{1, 3, 0, core.WholeChunk} {
 				got := run(chunk, true)
 				difftest.AssertEqual(t, "materialized", want, "streamed", got)
 			}
