@@ -1,22 +1,19 @@
 package gdprbench
 
-// One testing.B benchmark per table and figure of the paper's evaluation,
-// plus ablation benches for the design choices DESIGN.md calls out. Each
-// figure bench runs the corresponding experiment harness end to end and
-// reports headline series values as custom metrics, so
+// Go benchmarks for the paper's evaluation and the design choices
+// DESIGN.md calls out. BenchmarkExperiments regenerates every table and
+// figure through the experiment harness; the others time one op shape
+// each, so
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench=. -benchmem
 //
-// regenerates the paper's artifacts. EXPERIMENTS.md records the
-// paper-reported values next to measured ones.
+// regenerates the paper's artifacts and the ablations.
 
 import (
 	"bytes"
 	"fmt"
 	"io"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -37,235 +34,30 @@ import (
 	"repro/internal/wire"
 )
 
-// benchExperiment runs one experiment per iteration and logs its table.
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		res, err := RunExperiment(id, ScaleSmall)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Logf("\n%s", res)
-		}
-	}
-}
-
-// parseDur parses a duration cell from an experiment row.
-func parseDur(b *testing.B, s string) time.Duration {
-	b.Helper()
-	d, err := time.ParseDuration(s)
-	if err != nil {
-		b.Fatalf("bad duration %q: %v", s, err)
-	}
-	return d
-}
-
-func BenchmarkTable1Articles(b *testing.B)   { benchExperiment(b, "T1") }
-func BenchmarkTable2aWorkloads(b *testing.B) { benchExperiment(b, "T2a") }
-
-// BenchmarkFig3a regenerates the Redis TTL erasure-delay curve and reports
-// the largest size's lazy delay (virtual seconds) and strict delay.
-func BenchmarkFig3a(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := RunExperiment("F3a", ScaleSmall)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := res.Rows[len(res.Rows)-1]
-		b.ReportMetric(parseDur(b, last[1]).Seconds(), "lazy-erase-vsec")
-		b.ReportMetric(parseDur(b, last[2]).Seconds(), "strict-erase-vsec")
-		if i == 0 {
-			b.Logf("\n%s", res)
-		}
-	}
-}
-
-// BenchmarkFig3b regenerates the pgbench-vs-indices throughput collapse
-// and reports the two-index relative throughput (paper: ~33%).
-func BenchmarkFig3b(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := RunExperiment("F3b", ScaleSmall)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rel := strings.TrimSuffix(res.Rows[2][2], "%")
-		v, err := strconv.ParseFloat(rel, 64)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(v, "tps-2idx-%of-baseline")
-		if i == 0 {
-			b.Logf("\n%s", res)
-		}
-	}
-}
-
-func BenchmarkFig4aRedisFeatures(b *testing.B)    { benchExperiment(b, "F4a") }
-func BenchmarkFig4bPostgresFeatures(b *testing.B) { benchExperiment(b, "F4b") }
-
-// fig5Bench reports each workload's completion time in milliseconds.
-func fig5Bench(b *testing.B, id string) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		res, err := RunExperiment(id, ScaleSmall)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, row := range res.Rows {
-			b.ReportMetric(float64(parseDur(b, row[1]).Milliseconds()), row[0]+"-ms")
-		}
-		if i == 0 {
-			b.Logf("\n%s", res)
-		}
-	}
-}
-
-func BenchmarkFig5aGDPRbenchRedis(b *testing.B)           { fig5Bench(b, "F5a") }
-func BenchmarkFig5bGDPRbenchPostgres(b *testing.B)        { fig5Bench(b, "F5b") }
-func BenchmarkFig5cGDPRbenchPostgresIndexed(b *testing.B) { fig5Bench(b, "F5c") }
-
-// BenchmarkTable3SpaceOverhead reports the three space factors.
-func BenchmarkTable3SpaceOverhead(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := RunExperiment("T3", ScaleSmall)
-		if err != nil {
-			b.Fatal(err)
-		}
-		names := []string{"redis-x", "pg-x", "pg-idx-x", "redis-idx-x"}
-		for r, row := range res.Rows {
-			v, err := strconv.ParseFloat(strings.TrimSuffix(row[3], "x"), 64)
-			if err != nil {
-				b.Fatal(err)
+// BenchmarkExperiments runs each experiment of the paper's evaluation at
+// small scale, one sub-benchmark per ID (T1, T2a, T3, F3a … F13), and
+// logs its table; -bench 'Experiments/F5a' picks one.
+func BenchmarkExperiments(b *testing.B) {
+	for _, id := range Experiments() {
+		b.Run(id, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				res, err := RunExperiment(id, ScaleSmall)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if i == 0 {
+					b.Logf("\n%s", res)
+				}
 			}
-			b.ReportMetric(v, names[r])
-		}
-		if i == 0 {
-			b.Logf("\n%s", res)
-		}
+		})
 	}
 }
 
-// BenchmarkFig6YCSBvsGDPR reports the throughput gap per engine.
-func BenchmarkFig6YCSBvsGDPR(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := RunExperiment("F6", ScaleSmall)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, row := range res.Rows {
-			v, err := strconv.ParseFloat(strings.TrimSuffix(row[3], "x"), 64)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(v, strings.ToLower(row[0])+"-gap-x")
-		}
-		if i == 0 {
-			b.Logf("\n%s", res)
-		}
-	}
-}
-
-// scaleBench reports the smallest and largest sizes' completion times, the
-// growth ratio being the figure's shape.
-func scaleBench(b *testing.B, id string) {
+// closedLoop runs op(i) for every i in [0, b.N) from threads workers,
+// each taking the next i as soon as its previous op returns, and reports
+// ops/s. The first op error fails the benchmark and stops its worker.
+func closedLoop(b *testing.B, threads int, op func(i int) error) {
 	b.Helper()
-	for i := 0; i < b.N; i++ {
-		res, err := RunExperiment(id, ScaleSmall)
-		if err != nil {
-			b.Fatal(err)
-		}
-		first := parseDur(b, res.Rows[0][1])
-		last := parseDur(b, res.Rows[len(res.Rows)-1][1])
-		b.ReportMetric(float64(first.Milliseconds()), "smallest-ms")
-		b.ReportMetric(float64(last.Milliseconds()), "largest-ms")
-		if first > 0 {
-			b.ReportMetric(float64(last)/float64(first), "growth-x")
-		}
-		if i == 0 {
-			b.Logf("\n%s", res)
-		}
-	}
-}
-
-func BenchmarkFig7aRedisYCSBScale(b *testing.B)    { scaleBench(b, "F7a") }
-func BenchmarkFig7bRedisGDPRScale(b *testing.B)    { scaleBench(b, "F7b") }
-func BenchmarkFig8aPostgresYCSBScale(b *testing.B) { scaleBench(b, "F8a") }
-func BenchmarkFig8bPostgresGDPRScale(b *testing.B) { scaleBench(b, "F8b") }
-
-// BenchmarkFig9ShardScale regenerates the F9 shard-scaling experiment and
-// reports per-engine completion at the smallest and largest shard counts.
-func BenchmarkFig9ShardScale(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := RunExperiment("F9", ScaleSmall)
-		if err != nil {
-			b.Fatal(err)
-		}
-		first, last := res.Rows[0], res.Rows[len(res.Rows)-1]
-		b.ReportMetric(float64(parseDur(b, first[1]).Milliseconds()), "redis-1shard-ms")
-		b.ReportMetric(float64(parseDur(b, last[1]).Milliseconds()), "redis-8shard-ms")
-		b.ReportMetric(float64(parseDur(b, first[2]).Milliseconds()), "pg-1shard-ms")
-		b.ReportMetric(float64(parseDur(b, last[2]).Milliseconds()), "pg-8shard-ms")
-		if i == 0 {
-			b.Logf("\n%s", res)
-		}
-	}
-}
-
-// BenchmarkFig12AuditPipeline regenerates the F12 audit-pipeline
-// ablation and reports each engine's sync-over-async recovery factor.
-func BenchmarkFig12AuditPipeline(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := RunExperiment("F12", ScaleSmall)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, row := range res.Rows {
-			v, err := strconv.ParseFloat(strings.TrimSuffix(row[5], "x"), 64)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(v, row[0]+"-sync/async-x")
-		}
-		if i == 0 {
-			b.Logf("\n%s", res)
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Audit pipeline: sync vs batched vs async appends on the §3.3 hot path
-
-// benchAuditOps loads one engine model with logging in its strict
-// durable configuration (audit fsync per commit) and hammers it with
-// the audited customer point-op shape — 3 reads to 1 rectification —
-// from the given number of client threads. ops/s is reported so the
-// three pipeline legs compare directly: the gap to `sync` is the
-// serialized encode+write+fsync cost the pipeline removes from the
-// callers' critical path.
-func benchAuditOps(b *testing.B, engine string, policy AuditPolicy, threads int) {
-	b.Helper()
-	comp := core.Compliance{AccessControl: true, Strict: true, Logging: true}
-	db, err := OpenEngine(Options{
-		Engine: engine, Dir: b.TempDir(), Compliance: comp, DisableDaemons: true,
-		AuditPolicy: policy, AuditSyncAlways: true,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer db.Close()
-	cfg := core.Config{Records: 2_000, Threads: 8, Seed: 1}.WithDefaults()
-	ds, _, err := core.Load(db, cfg, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	actors := make([]Actor, cfg.Records)
-	sels := make([]Selector, cfg.Records)
-	for i := 0; i < cfg.Records; i++ {
-		actors[i] = CustomerActor(ds.UserAt(i))
-		sels[i] = ByKey(ds.KeyAt(i))
-	}
-
 	b.ReportAllocs()
 	b.ResetTimer()
 	start := time.Now()
@@ -280,15 +72,7 @@ func benchAuditOps(b *testing.B, engine string, policy AuditPolicy, threads int)
 				if i >= b.N {
 					return
 				}
-				k := (i * 31) % cfg.Records
-				if i%4 == 3 {
-					if _, err := db.UpdateData(actors[k], ds.KeyAt(k), "rectified!!"); err != nil {
-						b.Error(err)
-						return
-					}
-					continue
-				}
-				if _, err := db.ReadData(actors[k], sels[k]); err != nil {
+				if err := op(i); err != nil {
 					b.Error(err)
 					return
 				}
@@ -296,7 +80,119 @@ func benchAuditOps(b *testing.B, engine string, policy AuditPolicy, threads int)
 		}()
 	}
 	wg.Wait()
+	b.StopTimer()
 	b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "ops/s")
+}
+
+// openStore opens o and closes it when the benchmark ends.
+func openStore(b *testing.B, o Options) DB {
+	b.Helper()
+	db, err := OpenEngine(o)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { db.Close() })
+	return db
+}
+
+// overLoopback serves host on a loopback port and returns a remote
+// client of it dialled with cfg; both close when the benchmark ends.
+func overLoopback(b *testing.B, host DB, cfg remote.Config) DB {
+	b.Helper()
+	srv := server.New(host, server.Config{})
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { srv.Close() })
+	cfg.Addr = addr
+	cli, err := remote.Dial(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { cli.Close() })
+	return cli
+}
+
+// load loads cfg into db.
+func load(b *testing.B, db DB, cfg Config) *Dataset {
+	b.Helper()
+	ds, _, err := core.Load(db, cfg, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return ds
+}
+
+// byKey precomputes, for every record, its owner and a BY-KEY selector,
+// so timed loops measure the store, not fmt.
+func byKey(ds *Dataset) ([]Actor, []Selector) {
+	actors := make([]Actor, ds.Cfg.Records)
+	sels := make([]Selector, ds.Cfg.Records)
+	for i := range actors {
+		actors[i] = CustomerActor(ds.UserAt(i))
+		sels[i] = ByKey(ds.KeyAt(i))
+	}
+	return actors, sels
+}
+
+// byUser precomputes, for every data subject, the subject and a BY-USR
+// selector over their records.
+func byUser(ds *Dataset) ([]Actor, []Selector) {
+	actors := make([]Actor, ds.Users)
+	sels := make([]Selector, ds.Users)
+	for u := range actors {
+		actors[u] = CustomerActor(ds.UserName(u))
+		sels[u] = ByUser(ds.UserName(u))
+	}
+	return actors, sels
+}
+
+// pointRead reads sel as a and checks it matched exactly one record.
+func pointRead(db DB, a Actor, sel Selector) error {
+	recs, err := db.ReadData(a, sel)
+	if err == nil && len(recs) != 1 {
+		err = fmt.Errorf("point read returned %d records", len(recs))
+	}
+	return err
+}
+
+// scanRead reads sel as a and checks it matched something.
+func scanRead(db DB, a Actor, sel Selector) error {
+	recs, err := db.ReadData(a, sel)
+	if err == nil && len(recs) == 0 {
+		err = fmt.Errorf("attribute read returned nothing")
+	}
+	return err
+}
+
+// ---------------------------------------------------------------------------
+// Audit pipeline: sync vs batched vs async appends on the §3.3 hot path
+
+// benchAuditOps loads one engine model with logging in its strict
+// durable configuration (audit fsync per commit) and hammers it with
+// the audited customer point-op shape — 3 reads to 1 rectification —
+// from the given number of client threads. ops/s is reported so the
+// three pipeline legs compare directly: the gap to `sync` is the
+// serialized encode+write+fsync cost the pipeline removes from the
+// callers' critical path.
+func benchAuditOps(b *testing.B, engine string, policy AuditPolicy, threads int) {
+	comp := core.Compliance{AccessControl: true, Strict: true, Logging: true}
+	db := openStore(b, Options{
+		Engine: engine, Dir: b.TempDir(), Compliance: comp, DisableDaemons: true,
+		AuditPolicy: policy, AuditSyncAlways: true,
+	})
+	ds := load(b, db, core.Config{Records: 2_000, Threads: 8, Seed: 1})
+	actors, sels := byKey(ds)
+	closedLoop(b, threads, func(i int) error {
+		k := (i * 31) % ds.Cfg.Records
+		if i%4 == 3 {
+			_, err := db.UpdateData(actors[k], ds.KeyAt(k), "rectified!!")
+			return err
+		}
+		_, err := db.ReadData(actors[k], sels[k])
+		return err
+	})
 }
 
 // BenchmarkAuditPipeline sweeps the audit append pipeline (sync vs
@@ -332,7 +228,6 @@ func BenchmarkAuditPipeline(b *testing.B) {
 // comparison. Compliance is ACL+strict only, isolating scan parallelism
 // from encryption and audit I/O.
 func benchShardedScan(b *testing.B, engine string, shards, threads int) {
-	b.Helper()
 	comp := core.Compliance{AccessControl: true, Strict: true}
 	db, err := shard.Open(core.Options{
 		Engine: engine, Shards: shards, Compliance: comp, DisableDaemons: true, AuditPolicy: AuditSync,
@@ -341,48 +236,12 @@ func benchShardedScan(b *testing.B, engine string, shards, threads int) {
 		b.Fatal(err)
 	}
 	defer db.Close()
-	cfg := core.Config{Records: 4_000, Threads: threads, Seed: 1}.WithDefaults()
-	ds, _, err := core.Load(db, cfg, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	users := ds.Users
-	actors := make([]Actor, users)
-	sels := make([]Selector, users)
-	for u := 0; u < users; u++ {
-		actors[u] = CustomerActor(ds.UserName(u))
-		sels[u] = ByUser(ds.UserName(u))
-	}
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	start := time.Now()
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < threads; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= b.N {
-					return
-				}
-				u := (i * 31) % users
-				recs, err := db.ReadData(actors[u], sels[u])
-				if err != nil {
-					b.Error(err)
-					return
-				}
-				if len(recs) == 0 {
-					b.Error("scan returned nothing")
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "ops/s")
+	ds := load(b, db, core.Config{Records: 4_000, Threads: threads, Seed: 1})
+	actors, sels := byUser(ds)
+	closedLoop(b, threads, func(i int) error {
+		u := (i * 31) % ds.Users
+		return scanRead(db, actors[u], sels[u])
+	})
 }
 
 // BenchmarkSharding sweeps shard count × engine model × client threads on
@@ -413,69 +272,17 @@ func BenchmarkSharding(b *testing.B) {
 // compare directly; the gap is the per-operation cost of framing,
 // socket hops and the role-bound session layer.
 func benchNetworkPointReads(b *testing.B, engine string, overTCP bool, threads int) {
-	b.Helper()
 	comp := core.Compliance{AccessControl: true, Strict: true}
-	host, err := OpenEngine(Options{Engine: engine, Shards: 1, Compliance: comp, DisableDaemons: true, AuditPolicy: AuditSync})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer host.Close()
-	db := host
+	db := openStore(b, Options{Engine: engine, Shards: 1, Compliance: comp, DisableDaemons: true, AuditPolicy: AuditSync})
 	if overTCP {
-		srv := server.New(host, server.Config{})
-		addr, err := srv.Start("127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer srv.Close()
-		cli, err := remote.Dial(remote.Config{Addr: addr, ConnsPerRole: max(2, threads/2)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer cli.Close()
-		db = cli
+		db = overLoopback(b, db, remote.Config{ConnsPerRole: max(2, threads/2)})
 	}
-	cfg := core.Config{Records: 2_000, Threads: 8, Seed: 1}.WithDefaults()
-	ds, _, err := core.Load(db, cfg, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	actors := make([]Actor, cfg.Records)
-	sels := make([]Selector, cfg.Records)
-	for i := 0; i < cfg.Records; i++ {
-		actors[i] = CustomerActor(ds.UserAt(i))
-		sels[i] = ByKey(ds.KeyAt(i))
-	}
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	start := time.Now()
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < threads; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= b.N {
-					return
-				}
-				k := (i * 31) % cfg.Records
-				recs, err := db.ReadData(actors[k], sels[k])
-				if err != nil {
-					b.Error(err)
-					return
-				}
-				if len(recs) != 1 {
-					b.Errorf("point read returned %d records", len(recs))
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "ops/s")
+	ds := load(b, db, core.Config{Records: 2_000, Threads: 8, Seed: 1})
+	actors, sels := byKey(ds)
+	closedLoop(b, threads, func(i int) error {
+		k := (i * 31) % ds.Cfg.Records
+		return pointRead(db, actors[k], sels[k])
+	})
 }
 
 // BenchmarkNetworkOverhead sweeps transport (embedded vs localhost TCP)
@@ -509,40 +316,14 @@ func BenchmarkNetworkOverhead(b *testing.B) {
 // inverted-index (redis) or secondary-B-tree (postgres) probes with it
 // on. ops/s is reported so the indexed and scan legs compare directly.
 func benchMetadataReads(b *testing.B, engine string, records int, indexed bool) {
-	b.Helper()
 	comp := core.Compliance{AccessControl: true, Strict: true, MetadataIndexing: indexed}
-	db, err := OpenEngine(Options{Engine: engine, Shards: 1, Compliance: comp, DisableDaemons: true, AuditPolicy: AuditSync})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer db.Close()
-	cfg := core.Config{Records: records, Seed: 1}.WithDefaults()
-	ds, _, err := core.Load(db, cfg, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	users := ds.Users
-	actors := make([]Actor, users)
-	sels := make([]Selector, users)
-	for u := 0; u < users; u++ {
-		actors[u] = CustomerActor(ds.UserName(u))
-		sels[u] = ByUser(ds.UserName(u))
-	}
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	start := time.Now()
-	for i := 0; i < b.N; i++ {
-		u := (i * 31) % users
-		recs, err := db.ReadData(actors[u], sels[u])
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(recs) == 0 {
-			b.Fatal("attribute read returned nothing")
-		}
-	}
-	b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "ops/s")
+	db := openStore(b, Options{Engine: engine, Shards: 1, Compliance: comp, DisableDaemons: true, AuditPolicy: AuditSync})
+	ds := load(b, db, core.Config{Records: records, Seed: 1})
+	actors, sels := byUser(ds)
+	closedLoop(b, 1, func(i int) error {
+		u := (i * 31) % ds.Users
+		return scanRead(db, actors[u], sels[u])
+	})
 }
 
 // BenchmarkMetadataIndexing sweeps indexed vs scan × record count × both
@@ -623,45 +404,22 @@ func benchRelstoreMix(b *testing.B, durable bool, threads int) {
 		preds[u] = relstore.Eq("usr", fmt.Sprintf("u%d", u))
 	}
 
-	b.ReportAllocs()
-	b.ResetTimer()
-	start := time.Now()
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < threads; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= b.N {
-					return
-				}
-				switch {
-				case i%20 < 11: // 55%: indexed selector read (~10 rows)
-					if _, err := db.SelectChunk("records", preds[(i*31)%users], "", relstore.NoLimit); err != nil {
-						b.Error(err)
-						return
-					}
-				case i%20 < 19: // 40%: point read by key
-					if _, _, err := db.Get("records", keys[(i*7)%records]); err != nil {
-						b.Error(err)
-						return
-					}
-				default: // 5%: read-modify-write
-					if _, err := db.UpdateFunc("records", keys[(i*13)%records], func(r relstore.Row) (relstore.Row, error) {
-						r[3] = r[3].(int64) + 1
-						return r, nil
-					}); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "ops/s")
+	closedLoop(b, threads, func(i int) error {
+		switch {
+		case i%20 < 11: // 55%: indexed selector read (~10 rows)
+			_, err := db.SelectChunk("records", preds[(i*31)%users], "", relstore.NoLimit)
+			return err
+		case i%20 < 19: // 40%: point read by key
+			_, _, err := db.Get("records", keys[(i*7)%records])
+			return err
+		default: // 5%: read-modify-write
+			_, err := db.UpdateFunc("records", keys[(i*13)%records], func(r relstore.Row) (relstore.Row, error) {
+				r[3] = r[3].(int64) + 1
+				return r, nil
+			})
+			return err
+		}
+	})
 }
 
 // BenchmarkRelstoreLocking runs the Processor-style read-heavy mix over
@@ -731,57 +489,29 @@ func benchKvstoreMix(b *testing.B, mix string, striping int, durable bool, threa
 		}
 	}()
 
-	b.ReportAllocs()
-	b.ResetTimer()
-	start := time.Now()
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < threads; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= b.N {
-					return
-				}
-				if mix == "get95" {
-					if i%20 < 19 { // 95%: point read
-						s.Get(keys[(i*7)%records])
-					} else if err := s.Set(keys[(i*31)%records], "data-payload-v2"); err != nil { // 5%: overwrite
-						b.Error(err)
-						return
-					}
-					continue
-				}
-				switch {
-				case i%20 < 11: // 55%: point read
-					s.Get(keys[(i*7)%records])
-				case i%20 < 17: // 30%: overwrite
-					if err := s.Set(keys[(i*31)%records], "data-payload-v2"); err != nil {
-						b.Error(err)
-						return
-					}
-				case i%20 < 19: // 10%: arm a TTL (feeds the expiry sweep)
-					if err := s.SetWithExpiry(keys[(i*13)%records], "ttl-payload", time.Now().Add(time.Hour)); err != nil {
-						b.Error(err)
-						return
-					}
-				default: // 5%: delete (the key returns via a later SET)
-					if _, err := s.Del(keys[(i*3)%records]); err != nil {
-						b.Error(err)
-						return
-					}
-				}
+	closedLoop(b, threads, func(i int) error {
+		if mix == "get95" {
+			if i%20 < 19 { // 95%: point read
+				s.Get(keys[(i*7)%records])
+				return nil
 			}
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	b.StopTimer()
+			return s.Set(keys[(i*31)%records], "data-payload-v2") // 5%: overwrite
+		}
+		switch {
+		case i%20 < 11: // 55%: point read
+			s.Get(keys[(i*7)%records])
+			return nil
+		case i%20 < 17: // 30%: overwrite
+			return s.Set(keys[(i*31)%records], "data-payload-v2")
+		case i%20 < 19: // 10%: arm a TTL (feeds the expiry sweep)
+			return s.SetWithExpiry(keys[(i*13)%records], "ttl-payload", time.Now().Add(time.Hour))
+		default: // 5%: delete (the key returns via a later SET)
+			_, err := s.Del(keys[(i*3)%records])
+			return err
+		}
+	})
 	close(stopExp)
 	<-expDone
-	b.ReportMetric(float64(b.N)/elapsed.Seconds(), "ops/s")
 }
 
 // BenchmarkKvstoreLocking compares the Redis-faithful profile
@@ -947,16 +677,16 @@ func BenchmarkAblationIndexes(b *testing.B) {
 		cols := sets[name]
 		b.Run(name, func(b *testing.B) {
 			sim := clock.NewSim(time.Time{})
-			eng, err := core.NewPostgresEngine(core.PostgresConfig{Clock: sim, DisableDaemons: true}, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, col := range cols {
-				if err := eng.(interface{ DB() *relstore.DB }).DB().CreateIndex(core.RecordsTable, col); err != nil {
-					b.Fatal(err)
-				}
-			}
-			client, err := core.Wrap(eng, core.WrapConfig{Clock: sim})
+			client, err := core.Open(core.Options{Engine: "postgres", Shards: 1, Clock: sim, DisableDaemons: true},
+				func(e []core.Engine) (core.Engine, error) {
+					rel := e[0].(interface{ DB() *relstore.DB }).DB()
+					for _, col := range cols {
+						if err := rel.CreateIndex(core.RecordsTable, col); err != nil {
+							return nil, err
+						}
+					}
+					return e[0], nil
+				})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -986,13 +716,7 @@ func BenchmarkAblationTransit(b *testing.B) {
 			comp.EncryptInTransit = true
 		}
 		b.Run(name, func(b *testing.B) {
-			client, err := core.Open(core.Options{
-				Engine: "redis", Clock: sim, Compliance: comp, DisableDaemons: true,
-			}, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer client.Close()
+			client := openStore(b, Options{Engine: "redis", Clock: sim, Compliance: comp, DisableDaemons: true})
 			ds := core.NewDataset(core.Config{Records: 1000, Seed: 1}, sim.Now())
 			actor := core.ControllerActor()
 			for i := 0; i < 1000; i++ {
@@ -1015,15 +739,11 @@ func BenchmarkAblationTransit(b *testing.B) {
 // on the compliant Redis-model engine (the per-query view behind Fig 5a).
 func BenchmarkGDPRQueryLatencies(b *testing.B) {
 	sim := clock.NewSim(time.Time{})
-	client, err := core.Open(core.Options{
+	client := openStore(b, Options{
 		Engine: "redis", Dir: b.TempDir(), Clock: sim,
 		Compliance:     core.Compliance{Logging: true, AccessControl: true, Strict: true},
 		DisableDaemons: true,
-	}, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer client.Close()
+	})
 	cfg := core.Config{Records: 5_000, Seed: 1}.WithDefaults()
 	ds := core.NewDataset(cfg, sim.Now())
 	actor := core.ControllerActor()
@@ -1083,7 +803,6 @@ func BenchmarkGDPRQueryLatencies(b *testing.B) {
 // span-sampling period on the process registry — the same registry the
 // middleware's always-on op counters hit on every iteration regardless.
 func benchObsOverheadMix(b *testing.B, sampling int) {
-	b.Helper()
 	reg := obs.Default()
 	prevSampling := reg.Sampling()
 	prevThreshold := reg.SlowlogThreshold()
@@ -1095,43 +814,17 @@ func benchObsOverheadMix(b *testing.B, sampling int) {
 	}()
 
 	comp := core.Compliance{AccessControl: true, Strict: true}
-	db, err := OpenEngine(Options{Engine: "redis", Shards: 1, Compliance: comp, DisableDaemons: true, AuditPolicy: AuditSync})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer db.Close()
-	cfg := core.Config{Records: 2_000, Seed: 1}.WithDefaults()
-	ds, _, err := core.Load(db, cfg, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	actors := make([]Actor, cfg.Records)
-	sels := make([]Selector, cfg.Records)
-	for i := 0; i < cfg.Records; i++ {
-		actors[i] = CustomerActor(ds.UserAt(i))
-		sels[i] = ByKey(ds.KeyAt(i))
-	}
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	start := time.Now()
-	for i := 0; i < b.N; i++ {
-		k := (i * 31) % cfg.Records
+	db := openStore(b, Options{Engine: "redis", Shards: 1, Compliance: comp, DisableDaemons: true, AuditPolicy: AuditSync})
+	ds := load(b, db, core.Config{Records: 2_000, Seed: 1})
+	actors, sels := byKey(ds)
+	closedLoop(b, 1, func(i int) error {
+		k := (i * 31) % ds.Cfg.Records
 		if i%20 < 19 {
-			recs, err := db.ReadData(actors[k], sels[k])
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(recs) != 1 {
-				b.Fatalf("point read returned %d records", len(recs))
-			}
-			continue
+			return pointRead(db, actors[k], sels[k])
 		}
-		if _, err := db.UpdateData(actors[k], ds.KeyAt(k), "data-payload-v2"); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "ops/s")
+		_, err := db.UpdateData(actors[k], ds.KeyAt(k), "data-payload-v2")
+		return err
+	})
 }
 
 // BenchmarkObsOverhead measures what the observability layer costs on
@@ -1166,35 +859,14 @@ func BenchmarkObsOverhead(b *testing.B) {
 // regress it and must hold peak memory at O(chunk) rather than
 // O(result) (the RSS claim F13 and the CI smoke check end to end).
 func benchStreamingExport(b *testing.B, overTCP, streamed bool) {
-	b.Helper()
 	comp := core.Compliance{AccessControl: true, MetadataIndexing: true}
-	host, err := OpenEngine(Options{
+	db := openStore(b, Options{
 		Engine: "redis", Dir: b.TempDir(), Compliance: comp, KVStripes: 4, DisableDaemons: true,
 	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer host.Close()
 	const records = 16_000
-	cfg := core.Config{Records: records, RecordsPerUser: records / 8, Seed: 1}
-	ds, _, err := core.Load(host, cfg, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	db := core.DB(host)
+	ds := load(b, db, core.Config{Records: records, RecordsPerUser: records / 8, Seed: 1})
 	if overTCP {
-		srv := server.New(host, server.Config{})
-		addr, err := srv.Start("127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer srv.Close()
-		cli, err := remote.Dial(remote.Config{Addr: addr})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer cli.Close()
-		db = cli
+		db = overLoopback(b, db, remote.Config{})
 	}
 	subject := ds.CustomerActor(0)
 	sel := ByUser(ds.UserName(0))

@@ -356,24 +356,15 @@ func runTimed(opts options, cfg gdprbench.Config, names []gdprbench.WorkloadName
 	for _, name := range names {
 		var run *gdprbench.RunStats
 		err := meter.measure(func() (int64, error) {
-			var err error
-			switch {
-			case opts.secondary != nil:
-				mix, ok := gdprbench.Workloads()[name]
-				if !ok {
-					return 0, fmt.Errorf("unknown workload %q", name)
-				}
-				mix.SecondaryDist = *opts.secondary
-				if opts.arrivalRate > 0 {
-					run, err = gdprbench.RunMixOpenLoop(db, ds, mix, opts.arrivalRate)
-				} else {
-					run, err = gdprbench.RunMix(db, ds, mix)
-				}
-			case opts.arrivalRate > 0:
-				run, err = gdprbench.RunOpenLoop(db, ds, name, opts.arrivalRate)
-			default:
-				run, err = gdprbench.Run(db, ds, name)
+			mix, ok := gdprbench.Workloads()[name]
+			if !ok {
+				return 0, fmt.Errorf("unknown workload %q", name)
 			}
+			if opts.secondary != nil {
+				mix.SecondaryDist = *opts.secondary
+			}
+			var err error
+			run, err = gdprbench.RunMix(db, ds, mix, opts.arrivalRate)
 			if err != nil {
 				return 0, err
 			}

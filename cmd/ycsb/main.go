@@ -13,15 +13,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"time"
 
-	"repro/internal/audit"
-	"repro/internal/kvstore"
-	"repro/internal/relstore"
-	"repro/internal/securefs"
-	"repro/internal/transit"
-	"repro/internal/wal"
 	"repro/internal/ycsb"
 )
 
@@ -39,13 +32,15 @@ func main() {
 		logAll   = flag.Bool("log", false, "log all operations including reads")
 	)
 	flag.Parse()
-	if err := run(*engine, *workload, *records, *ops, *threads, *seed, *dir, *encrypt, *ttl, *logAll); err != nil {
+	cfg := ycsb.Config{Records: *records, Operations: *ops, Threads: *threads, Seed: *seed}
+	f := ycsb.Features{Encrypt: *encrypt, TTL: *ttl, Log: *logAll}
+	if err := run(*engine, *workload, *dir, cfg, f); err != nil {
 		fmt.Fprintln(os.Stderr, "ycsb:", err)
 		os.Exit(1)
 	}
 }
 
-func run(engine, workload string, records, ops, threads int, seed int64, dir string, encrypt, ttl, logAll bool) error {
+func run(engine, workload, dir string, cfg ycsb.Config, f ycsb.Features) error {
 	if dir == "" {
 		var err error
 		dir, err = os.MkdirTemp("", "ycsb-*")
@@ -54,14 +49,19 @@ func run(engine, workload string, records, ops, threads int, seed int64, dir str
 		}
 		defer os.RemoveAll(dir)
 	}
-	kv, cleanup, err := build(engine, dir, encrypt, ttl, logAll)
+	kv, closeAll, err := ycsb.Open(engine, dir, f)
 	if err != nil {
 		return err
 	}
-	defer cleanup()
+	err = loadAndRun(kv, engine, workload, cfg, f)
+	if cerr := closeAll(); err == nil {
+		err = cerr
+	}
+	return err
+}
 
-	cfg := ycsb.Config{Records: records, Operations: ops, Threads: threads, Seed: seed}
-	fmt.Printf("loading %d records into %s (encrypt=%v ttl=%v log=%v)...\n", records, engine, encrypt, ttl, logAll)
+func loadAndRun(kv ycsb.KV, engine, workload string, cfg ycsb.Config, f ycsb.Features) error {
+	fmt.Printf("loading %d records into %s (encrypt=%v ttl=%v log=%v)...\n", cfg.Records, engine, f.Encrypt, f.TTL, f.Log)
 	loadRun, err := ycsb.Load(kv, cfg)
 	if err != nil {
 		return err
@@ -74,87 +74,4 @@ func run(engine, workload string, records, ops, threads int, seed int64, dir str
 	}
 	fmt.Printf("workload %s:\n%s", workload, run.Summary())
 	return nil
-}
-
-// build assembles the engine + binding; the feature mapping matches §5.
-func build(engine, dir string, encrypt, ttl, logAll bool) (ycsb.KV, func(), error) {
-	ttlHorizon := func() (int64, bool) { return time.Now().Add(24 * time.Hour).UnixNano(), true }
-	var pipe *transit.Pipe
-	if encrypt {
-		var err error
-		pipe, err = transit.NewPipe(securefs.Key("ycsb-cli/transit"))
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	switch engine {
-	case "redis":
-		kvCfg := kvstore.Config{}
-		if logAll {
-			kvCfg.AOFPath = filepath.Join(dir, "redis.aof")
-			kvCfg.AOFSync = kvstore.FsyncEverySec
-			kvCfg.LogReads = true
-		}
-		if encrypt && logAll {
-			kvCfg.EncryptionKey = securefs.Key("ycsb-cli/aof")
-		}
-		if ttl {
-			kvCfg.ExpiryMode = kvstore.ExpiryStrict
-		}
-		s, err := kvstore.Open(kvCfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		b := ycsb.NewKVStoreBinding(s)
-		if ttl {
-			b.SetTTLFunc(ttlHorizon)
-			s.StartExpiry()
-		}
-		return ycsb.NewWireKV(b, pipe), func() { s.Close() }, nil
-
-	case "postgres":
-		relCfg := relstore.Config{
-			WALPath: filepath.Join(dir, "pg.wal"),
-			WALSync: wal.SyncBatched,
-		}
-		if encrypt {
-			relCfg.EncryptionKey = securefs.Key("ycsb-cli/wal")
-		}
-		var log *audit.Log
-		if logAll {
-			var err error
-			log, err = audit.Open(audit.Config{Path: filepath.Join(dir, "pg-csvlog"), Policy: audit.SyncEverySec})
-			if err != nil {
-				return nil, nil, err
-			}
-			relCfg.Audit = log
-			relCfg.LogStatements = true
-		}
-		db, err := relstore.Open(relCfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		b, err := ycsb.NewRelStoreBinding(db, "usertable")
-		if err != nil {
-			db.Close()
-			return nil, nil, err
-		}
-		if ttl {
-			b.SetTTLFunc(ttlHorizon)
-			if err := db.StartTTLDaemon("usertable", "ttl", time.Second); err != nil {
-				db.Close()
-				return nil, nil, err
-			}
-		}
-		cleanup := func() {
-			db.Close()
-			if log != nil {
-				log.Close()
-			}
-		}
-		return ycsb.NewWireKV(b, pipe), cleanup, nil
-
-	default:
-		return nil, nil, fmt.Errorf("unknown engine %q", engine)
-	}
 }

@@ -287,23 +287,13 @@ const (
 // Workloads returns the Table 2a workload definitions.
 func Workloads() map[WorkloadName]Mix { return core.DefaultWorkloads() }
 
-// RunMix executes a custom workload mix against db.
-func RunMix(db DB, ds *Dataset, mix Mix) (*RunStats, error) {
-	return core.RunMix(db, ds, mix, nil)
-}
-
-// RunOpenLoop executes one Table 2a workload open-loop: operations
-// arrive on a fixed schedule at rate ops/sec and latency is measured
-// from each operation's scheduled arrival, so queueing behind a stall
-// is counted instead of silently omitted (no coordinated omission).
-func RunOpenLoop(db DB, ds *Dataset, name WorkloadName, rate float64) (*RunStats, error) {
-	return core.RunOpenLoop(db, ds, name, rate, nil)
-}
-
-// RunMixOpenLoop executes a custom workload mix open-loop at a fixed
-// arrival rate (ops/sec).
-func RunMixOpenLoop(db DB, ds *Dataset, mix Mix, rate float64) (*RunStats, error) {
-	return core.RunMixOpenLoop(db, ds, mix, rate, nil)
+// RunMix executes a workload mix against db. rate 0 runs closed loop;
+// rate > 0 runs open loop: operations arrive on a fixed schedule at rate
+// ops/sec and latency is measured from each operation's scheduled
+// arrival, so queueing behind a stall is counted instead of silently
+// omitted (no coordinated omission).
+func RunMix(db DB, ds *Dataset, mix Mix, rate float64) (*RunStats, error) {
+	return core.RunMix(db, ds, mix, rate, nil)
 }
 
 // WorkloadNames lists the four workloads in the paper's order.

@@ -255,8 +255,9 @@ func RegisterFlags(fs *flag.FlagSet) func() (Options, error) {
 
 // RedisConfig and PostgresConfig are Options whose engine model is implied
 // by the type name: the spelling bench/stack.go uses to assemble its traced
-// stacks layer by layer (engine, then its own decorators, then Wrap). They
-// carry no fields or logic of their own.
+// stacks layer by layer (engine, then its own decorators, then Wrap). Outside
+// tests, bench/stack.go is their only user; everything else opens through
+// Open. They carry no fields or logic of their own.
 type (
 	RedisConfig    Options
 	PostgresConfig Options

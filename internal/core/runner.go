@@ -238,23 +238,36 @@ func execute(db DB, q QueryType, oc *opContext) error {
 	return err
 }
 
-// Run executes one workload against db: cfg.Operations queries drawn from
-// the workload's Table 2a mix, spread over cfg.Threads workers. The
-// returned stats carry per-query latencies and the workload completion
-// time (§4.2.3's headline metric).
+// Run executes one Table 2a workload closed-loop against db:
+// cfg.Operations queries drawn from the workload's mix, spread over
+// cfg.Threads workers. The returned stats carry per-query latencies and
+// the workload completion time (§4.2.3's headline metric).
 func Run(db DB, ds *Dataset, name WorkloadName, clk clock.Clock) (*stats.Run, error) {
 	mix, ok := DefaultWorkloads()[name]
 	if !ok {
 		return nil, fmt.Errorf("core: unknown workload %q", name)
 	}
-	return RunMix(db, ds, mix, clk)
+	return RunMix(db, ds, mix, 0, clk)
 }
 
-// RunMix executes a custom workload mix — §4.2.2 makes the default
-// workloads replaceable ("we make it possible to update or replace them
-// with custom workloads, when necessary"). The mix must name at least one
+// RunMix executes a workload mix — §4.2.2 makes the default workloads
+// replaceable ("we make it possible to update or replace them with
+// custom workloads, when necessary"). The mix must name at least one
 // query with positive weight.
-func RunMix(db DB, ds *Dataset, mix Mix, clk clock.Clock) (*stats.Run, error) {
+//
+// rate 0 runs closed loop: each worker starts its next op as soon as the
+// previous one returns, and latency is measured from op start. rate > 0
+// runs open loop: op i arrives at start + i/rate regardless of how
+// earlier ops fared, and its latency is measured from that scheduled
+// arrival, so time spent queued behind a stalled worker counts against
+// it. A closed loop silently stops issuing requests while the system
+// stalls, under-reporting exactly the tail the stall caused (coordinated
+// omission). Workers pull the next op index from a shared counter, so a
+// slow op on one worker never delays another worker's schedule.
+func RunMix(db DB, ds *Dataset, mix Mix, rate float64, clk clock.Clock) (*stats.Run, error) {
+	if rate < 0 {
+		return nil, fmt.Errorf("core: arrival rate must be >= 0, got %g", rate)
+	}
 	if len(mix.Queries) == 0 || len(mix.Queries) != len(mix.Weights) {
 		return nil, fmt.Errorf("core: mix needs equal, non-empty queries/weights")
 	}
@@ -266,11 +279,16 @@ func RunMix(db DB, ds *Dataset, mix Mix, clk clock.Clock) (*stats.Run, error) {
 	var newKeySeq atomic.Int64
 	var deletedMu sync.Mutex
 	deletedSample := make([]string, 0, 256)
-	var done atomic.Int64
+	var next atomic.Int64
 	var firstErr atomic.Value
 	var wg sync.WaitGroup
 
-	run.Start(time.Now())
+	var interval time.Duration
+	if rate > 0 {
+		interval = time.Duration(float64(time.Second) / rate)
+	}
+	start := time.Now()
+	run.Start(start)
 	for t := 0; t < cfg.Threads; t++ {
 		wg.Add(1)
 		go func(t int) {
@@ -287,10 +305,18 @@ func RunMix(db DB, ds *Dataset, mix Mix, clk clock.Clock) (*stats.Run, error) {
 				deletedSample: &deletedSample,
 			}
 			chooser := dist.NewWeighted(r, mix.Queries, mix.Weights)
-			for done.Add(1) <= int64(cfg.Operations) {
+			for {
+				i := next.Add(1) - 1
+				if i >= int64(cfg.Operations) {
+					return
+				}
 				q := chooser.Next()
 				op := run.Op(string(q))
 				t0 := time.Now()
+				if rate > 0 {
+					t0 = start.Add(time.Duration(i) * interval)
+					time.Sleep(time.Until(t0))
+				}
 				if err := execute(db, q, oc); err != nil {
 					op.RecordErr(time.Since(t0))
 					firstErr.CompareAndSwap(nil, err)

@@ -249,7 +249,7 @@ func TestRunMixCustomWorkload(t *testing.T) {
 		Weights: []float64{90, 10},
 		Dist:    DistZipf,
 	}
-	run, err := RunMix(c, ds, mix, sim)
+	run, err := RunMix(c, ds, mix, 0, sim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,11 +266,71 @@ func TestRunMixRejectsMalformedMix(t *testing.T) {
 	sim := clock.NewSim(time.Time{})
 	c := openRedis(t, sim, None())
 	ds := NewDataset(Config{Records: 10, Seed: 1}.WithDefaults(), sim.Now())
-	if _, err := RunMix(c, ds, Mix{}, sim); err == nil {
+	if _, err := RunMix(c, ds, Mix{}, 0, sim); err == nil {
 		t.Fatal("empty mix should fail")
 	}
 	bad := Mix{Queries: []QueryType{QCreateRecord}, Weights: []float64{1, 2}}
-	if _, err := RunMix(c, ds, bad, sim); err == nil {
+	if _, err := RunMix(c, ds, bad, 0, sim); err == nil {
 		t.Fatal("mismatched mix should fail")
+	}
+}
+
+// stallDB stalls the stallAt-th GetSystemFeatures call for stall and
+// counts every call, so a test can see queueing behind one slow op.
+type stallDB struct {
+	DB
+	calls   atomic.Int64
+	stallAt int64
+	stall   time.Duration
+}
+
+func (s *stallDB) GetSystemFeatures(a acl.Actor) (map[string]string, error) {
+	if s.calls.Add(1) == s.stallAt {
+		time.Sleep(s.stall)
+	}
+	return s.DB.GetSystemFeatures(a)
+}
+
+// TestOpenLoopCountsQueueing drives one worker at 1 000 ops/s while one
+// op stalls for 50 ms. The ~50 ops scheduled during the stall must report
+// latency from their scheduled arrival, queueing included: the median op
+// waits well over 10 ms, where a closed loop would report microseconds.
+func TestOpenLoopCountsQueueing(t *testing.T) {
+	sim := clock.NewSim(time.Time{})
+	cfg := Config{Records: 20, Operations: 60, Threads: 1, Seed: 5}.WithDefaults()
+	db := &stallDB{DB: openRedis(t, sim, None()), stallAt: 6, stall: 50 * time.Millisecond}
+	ds := NewDataset(cfg, sim.Now())
+	mix := Mix{Queries: []QueryType{QGetSystemFeatures}, Weights: []float64{1}}
+	run, err := RunMix(db, ds, mix, 1000, sim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := run.TotalOps(); got != int64(cfg.Operations) || db.calls.Load() != int64(cfg.Operations) {
+		t.Fatalf("ops recorded %d, executed %d, want %d", got, db.calls.Load(), cfg.Operations)
+	}
+	lat := run.Op(string(QGetSystemFeatures)).Latency
+	if p50 := lat.Percentile(50); p50 < 10*time.Millisecond {
+		t.Fatalf("p50 = %v: queueing behind the stall was not counted", p50)
+	}
+	if lat.Max() < 50*time.Millisecond {
+		t.Fatalf("max = %v, want >= the 50ms stall", lat.Max())
+	}
+
+	// With several workers the op count is still exact.
+	cfg.Threads = 3
+	ds = NewDataset(cfg, sim.Now())
+	run, err = RunMix(openRedis(t, sim, None()), ds, mix, 20000, sim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := run.TotalOps(); got != int64(cfg.Operations) {
+		t.Fatalf("3 workers recorded %d ops, want %d", got, cfg.Operations)
+	}
+
+	if _, err := RunMix(db, ds, mix, -1, sim); err == nil {
+		t.Fatal("negative arrival rate should fail")
+	}
+	if _, err := RunMix(db, ds, Mix{}, 1000, sim); err == nil {
+		t.Fatal("empty mix should fail")
 	}
 }

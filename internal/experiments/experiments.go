@@ -7,7 +7,7 @@
 //
 // Absolute numbers differ from the paper (the substrate is an in-process
 // engine, not the authors' testbed); the shapes the paper argues from are
-// asserted in experiments_test.go and recorded in EXPERIMENTS.md.
+// asserted in experiments_test.go.
 package experiments
 
 import (

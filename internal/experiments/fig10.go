@@ -53,42 +53,32 @@ func runMetadataIndexingGap(scale Scale) (Result, error) {
 	return res, nil
 }
 
-// openBare builds a daemonless, in-memory engine of the requested model
-// with the given compliance set — the shared open path for
-// microbenchmark-style experiments that isolate one cost axis.
-func openBare(engine string, comp core.Compliance) (core.DB, error) {
-	return core.Open(core.Options{Engine: engine, Compliance: comp, DisableDaemons: true}, nil)
-}
-
-// attributeReadRun loads n records into a fresh in-memory engine and
-// times `reads` alternating BY-USR / BY-PUR data reads.
+// attributeReadRun loads n records into a fresh engine and times
+// `reads` alternating BY-USR / BY-PUR data reads.
 func attributeReadRun(engine string, indexed bool, n, reads int) (time.Duration, error) {
-	db, err := openBare(engine, core.Compliance{AccessControl: true, Strict: true, MetadataIndexing: indexed})
-	if err != nil {
-		return 0, err
-	}
-	defer db.Close()
-	cfg := core.Config{Records: n, Seed: 1}.WithDefaults()
-	ds, _, err := core.Load(db, cfg, nil)
-	if err != nil {
-		return 0, err
-	}
-	start := time.Now()
-	for i := 0; i < reads; i++ {
-		var sel gdpr.Selector
-		var actor = core.ControllerActor()
-		if i%2 == 0 {
-			sel = gdpr.ByUser(ds.UserName(i % ds.Users))
-		} else {
-			sel = gdpr.ByPurpose(ds.PurposeName(i % cfg.Purposes))
+	var wall time.Duration
+	err := leg{
+		opts: core.Options{Engine: engine, Compliance: core.Compliance{AccessControl: true, Strict: true, MetadataIndexing: indexed}, DisableDaemons: true},
+		cfg:  core.Config{Records: n, Seed: 1},
+	}.with(func(db core.DB, ds *core.Dataset) error {
+		start := time.Now()
+		for i := 0; i < reads; i++ {
+			var sel gdpr.Selector
+			if i%2 == 0 {
+				sel = gdpr.ByUser(ds.UserName(i % ds.Users))
+			} else {
+				sel = gdpr.ByPurpose(ds.PurposeName(i % ds.Cfg.Purposes))
+			}
+			recs, err := db.ReadData(core.ControllerActor(), sel)
+			if err != nil {
+				return err
+			}
+			if i%2 == 0 && len(recs) == 0 {
+				return fmt.Errorf("experiments: BY-USR read matched nothing at %d records", n)
+			}
 		}
-		recs, err := db.ReadData(actor, sel)
-		if err != nil {
-			return 0, err
-		}
-		if i%2 == 0 && len(recs) == 0 {
-			return 0, fmt.Errorf("experiments: BY-USR read matched nothing at %d records", n)
-		}
-	}
-	return time.Since(start), nil
+		wall = time.Since(start)
+		return nil
+	})
+	return wall, err
 }

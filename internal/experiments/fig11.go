@@ -4,8 +4,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/remote"
-	"repro/internal/server"
 )
 
 func init() {
@@ -31,19 +29,24 @@ func runNetworkOverhead(scale Scale) (Result, error) {
 		Header: []string{"Engine", "Embedded", "Localhost TCP", "TCP/embedded"},
 	}
 	for _, engine := range []string{"redis", "postgres"} {
-		emb, err := networkLeg(engine, false, records, ops, threads)
+		l := leg{
+			opts: core.Options{Engine: engine, Compliance: core.Compliance{AccessControl: true, Strict: true}, DisableDaemons: true},
+			cfg:  core.Config{Records: records, Operations: ops, Threads: threads, Seed: 1},
+		}
+		emb, err := l.run(core.Customer)
 		if err != nil {
 			return res, err
 		}
-		tcp, err := networkLeg(engine, true, records, ops, threads)
+		l.overTCP = true
+		tcp, err := l.run(core.Customer)
 		if err != nil {
 			return res, err
 		}
 		res.Rows = append(res.Rows, []string{
 			engine,
-			emb.Round(time.Microsecond).String(),
-			tcp.Round(time.Microsecond).String(),
-			f2(float64(tcp)/float64(emb)) + "x",
+			emb.WallTime().Round(time.Microsecond).String(),
+			tcp.WallTime().Round(time.Microsecond).String(),
+			f2(float64(tcp.WallTime())/float64(emb.WallTime())) + "x",
 		})
 	}
 	res.Notes = append(res.Notes,
@@ -51,42 +54,4 @@ func runNetworkOverhead(scale Scale) (Result, error) {
 		"the TCP legs run the full stack over internal/server + internal/remote: pipelined wire protocol, role-bound sessions, compliance server-side",
 	)
 	return res, nil
-}
-
-// networkLeg loads records and runs the customer workload against one
-// engine model, embedded or via a localhost TCP server, returning the
-// workload completion time.
-func networkLeg(engine string, overTCP bool, records, ops, threads int) (time.Duration, error) {
-	host, err := openBare(engine, core.Compliance{AccessControl: true, Strict: true})
-	if err != nil {
-		return 0, err
-	}
-	defer host.Close()
-
-	db := host
-	if overTCP {
-		srv := server.New(host, server.Config{})
-		addr, err := srv.Start("127.0.0.1:0")
-		if err != nil {
-			return 0, err
-		}
-		defer srv.Close()
-		cli, err := remote.Dial(remote.Config{Addr: addr})
-		if err != nil {
-			return 0, err
-		}
-		defer cli.Close()
-		db = cli
-	}
-
-	cfg := core.Config{Records: records, Operations: ops, Threads: threads, Seed: 1}
-	ds, _, err := core.Load(db, cfg, nil)
-	if err != nil {
-		return 0, err
-	}
-	run, err := core.Run(db, ds, core.Customer, nil)
-	if err != nil {
-		return 0, err
-	}
-	return run.WallTime(), nil
 }

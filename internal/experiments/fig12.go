@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"os"
 	"time"
 
 	"repro/internal/audit"
@@ -36,13 +34,26 @@ func runAuditPipeline(scale Scale) (Result, error) {
 	for _, engine := range []string{"redis", "postgres"} {
 		row := []string{engine}
 		var syncWall, asyncWall time.Duration
-		baseline, err := auditLeg(engine, false, audit.PipeSync, records, ops, threads)
+		completion := func(logging bool, policy audit.Pipeline) (time.Duration, error) {
+			run, err := leg{
+				opts: core.Options{
+					Engine: engine, Compliance: core.Compliance{AccessControl: true, Strict: true, Logging: logging},
+					DisableDaemons: true, AuditPolicy: policy, AuditSyncAlways: true,
+				},
+				cfg: core.Config{Records: records, Operations: ops, Threads: threads, Seed: 1},
+			}.run(core.Customer)
+			if err != nil {
+				return 0, err
+			}
+			return run.WallTime(), nil
+		}
+		baseline, err := completion(false, audit.PipeSync)
 		if err != nil {
 			return res, err
 		}
 		row = append(row, baseline.Round(time.Microsecond).String())
 		for _, policy := range []audit.Pipeline{audit.PipeSync, audit.PipeBatched, audit.PipeAsync} {
-			wall, err := auditLeg(engine, true, policy, records, ops, threads)
+			wall, err := completion(true, policy)
 			if err != nil {
 				return res, err
 			}
@@ -63,37 +74,4 @@ func runAuditPipeline(scale Scale) (Result, error) {
 		"the no-log column keeps engine-side logging off too (no AOF read-logging / statement log), so it bounds the whole logging feature's cost, not just the trail's",
 	)
 	return res, nil
-}
-
-// auditLeg loads records and runs the customer workload against one
-// engine model with the given audit pipeline, returning the workload
-// completion time.
-func auditLeg(engine string, logging bool, policy audit.Pipeline, records, ops, threads int) (time.Duration, error) {
-	dir, err := os.MkdirTemp("", "gdprbench-f12-*")
-	if err != nil {
-		return 0, err
-	}
-	defer os.RemoveAll(dir)
-	comp := core.Compliance{AccessControl: true, Strict: true, Logging: logging}
-	db, err := core.Open(core.Options{
-		Engine: engine, Dir: dir, Compliance: comp, DisableDaemons: true,
-		AuditPolicy: policy, AuditSyncAlways: true,
-	}, nil)
-	if err != nil {
-		return 0, err
-	}
-	defer db.Close()
-	cfg := core.Config{Records: records, Operations: ops, Threads: threads, Seed: 1}
-	ds, _, err := core.Load(db, cfg, nil)
-	if err != nil {
-		return 0, err
-	}
-	run, err := core.Run(db, ds, core.Customer, nil)
-	if err != nil {
-		return 0, err
-	}
-	if run.TotalErrors() > 0 {
-		return 0, fmt.Errorf("customer/%s/%v: %d operation errors", engine, policy, run.TotalErrors())
-	}
-	return run.WallTime(), nil
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -45,12 +44,24 @@ func runStreamingExport(scale Scale) (Result, error) {
 		Title:  "Streaming subject export vs materialized under live GETs (F13)",
 		Header: []string{"Leg", "Exports", "Export mean", "Heap HW delta", "GET p99"},
 	}
-	for _, leg := range []string{"no-export", "streamed", "materialized"} {
-		row, err := exportLeg(leg, records, gets, threads)
+	// Subject 0 owns 1/8 of the records: its export is 1/8 of the store.
+	l := leg{
+		opts: core.Options{
+			Engine:     "redis",
+			Compliance: core.Compliance{AccessControl: true, MetadataIndexing: true},
+			KVStripes:  4, DisableDaemons: true,
+		},
+		cfg: core.Config{Records: records, Threads: threads, Seed: 1, RecordsPerUser: records / 8},
+	}
+	for _, name := range []string{"no-export", "streamed", "materialized"} {
+		err := l.with(func(db core.DB, ds *core.Dataset) error {
+			row, err := exportLeg(db, ds, name, gets, threads)
+			res.Rows = append(res.Rows, row)
+			return err
+		})
 		if err != nil {
 			return res, err
 		}
-		res.Rows = append(res.Rows, row)
 	}
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("one subject owns %d of %d records; export chunk %d", records/8, records, core.DefaultStreamChunk),
@@ -60,34 +71,11 @@ func runStreamingExport(scale Scale) (Result, error) {
 	return res, nil
 }
 
-// exportLeg loads a dataset whose subject 0 owns 1/8 of all records,
-// then runs the foreground GET loop while the requested export mode
-// loops in the background, and reports the F13 row.
-func exportLeg(leg string, records, gets, threads int) ([]string, error) {
-	dir, err := os.MkdirTemp("", "gdprbench-f13-*")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-	db, err := core.Open(core.Options{
-		Engine:     "redis",
-		Dir:        dir,
-		Compliance: core.Compliance{AccessControl: true, MetadataIndexing: true},
-		KVStripes:  4, DisableDaemons: true,
-	}, nil)
-	if err != nil {
-		return nil, err
-	}
-	defer db.Close()
-	cfg := core.Config{
-		Records: records, Operations: gets, Threads: threads, Seed: 1,
-		RecordsPerUser: records / 8, // 8 subjects; subject 0's export is 1/8 of the store
-	}
-	ds, _, err := core.Load(db, cfg, nil)
-	if err != nil {
-		return nil, err
-	}
-
+// exportLeg runs the foreground GET loop on a store loaded with the F13
+// dataset while the requested export mode loops in the background, and
+// reports the F13 row.
+func exportLeg(db core.DB, ds *core.Dataset, mode string, gets, threads int) ([]string, error) {
+	records := ds.Cfg.Records
 	// Settle the post-load heap so the high-water delta is attributable
 	// to the measured window, then sample HeapInuse until the leg ends.
 	runtime.GC()
@@ -122,19 +110,19 @@ func exportLeg(leg string, records, gets, threads int) ([]string, error) {
 	var exports atomic.Int64
 	var exportNS atomic.Int64
 	var exportErr error
-	if leg != "no-export" {
+	if mode != "no-export" {
+		// The GETs start only once the export loop runs, and the loop
+		// checks for the stop after each export, so every export leg
+		// overlaps the GET traffic with at least one whole export.
+		started := make(chan struct{})
 		exportWG.Add(1)
 		go func() {
 			defer exportWG.Done()
+			close(started)
 			for {
-				select {
-				case <-stopExport:
-					return
-				default:
-				}
 				t0 := time.Now()
 				var err error
-				if leg == "streamed" {
+				if mode == "streamed" {
 					err = streamExport(db, subject, sel)
 				} else {
 					_, err = db.ReadData(subject, sel)
@@ -145,8 +133,14 @@ func exportLeg(leg string, records, gets, threads int) ([]string, error) {
 				}
 				exports.Add(1)
 				exportNS.Add(time.Since(t0).Nanoseconds())
+				select {
+				case <-stopExport:
+					return
+				default:
+				}
 			}
 		}()
+		<-started
 	}
 
 	// Foreground: closed-loop point GETs, each customer reading one of
@@ -181,10 +175,10 @@ func exportLeg(leg string, records, gets, threads int) ([]string, error) {
 	close(stopSampler)
 	samplerWG.Wait()
 	if err, _ := getErr.Load().(error); err != nil {
-		return nil, fmt.Errorf("experiments: F13 %s GET: %w", leg, err)
+		return nil, fmt.Errorf("experiments: F13 %s GET: %w", mode, err)
 	}
 	if exportErr != nil {
-		return nil, fmt.Errorf("experiments: F13 %s export: %w", leg, exportErr)
+		return nil, fmt.Errorf("experiments: F13 %s export: %w", mode, exportErr)
 	}
 
 	n := exports.Load()
@@ -197,7 +191,7 @@ func exportLeg(leg string, records, gets, threads int) ([]string, error) {
 		delta = 0
 	}
 	return []string{
-		leg,
+		mode,
 		fmt.Sprintf("%d", n),
 		meanExport,
 		fmt.Sprintf("%.1fMB", float64(delta)/(1<<20)),

@@ -2,17 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
 	"time"
 
-	"repro/internal/audit"
-	"repro/internal/kvstore"
-	"repro/internal/relstore"
-	"repro/internal/securefs"
-	"repro/internal/transit"
-	"repro/internal/wal"
 	"repro/internal/ycsb"
 )
 
@@ -21,23 +12,19 @@ func init() {
 	register("F4b", func(s Scale) (Result, error) { return runFig4("postgres", s) })
 }
 
-// featureSet is one bar group of Figure 4: which GDPR security features
-// are enabled.
-type featureSet struct {
-	name    string
-	encrypt bool // at-rest (persistence) + in-transit record layer
-	ttl     bool // timely deletion machinery active
-	log     bool // log all operations including reads
-}
+// combined is the fully compliant YCSB stack: every §5 feature on.
+var combined = ycsb.Features{Encrypt: true, TTL: true, Log: true}
 
-func fig4Features() []featureSet {
-	return []featureSet{
-		{name: "baseline"},
-		{name: "encrypt", encrypt: true},
-		{name: "ttl", ttl: true},
-		{name: "log", log: true},
-		{name: "combined", encrypt: true, ttl: true, log: true},
-	}
+// fig4Features are Figure 4's bar groups, baseline first.
+var fig4Features = []struct {
+	name string
+	f    ycsb.Features
+}{
+	{"baseline", ycsb.Features{}},
+	{"encrypt", ycsb.Features{Encrypt: true}},
+	{"ttl", ycsb.Features{TTL: true}},
+	{"log", ycsb.Features{Log: true}},
+	{"combined", combined},
 }
 
 // runFig4 reproduces Figures 4a/4b: YCSB workloads A-F on one engine,
@@ -64,23 +51,22 @@ func runFig4(engine string, scale Scale) (Result, error) {
 		Title:  fmt.Sprintf("%s YCSB throughput under GDPR features, %% of baseline (Figure %s)", title, id[1:]),
 		Header: []string{"Workload", "Baseline ops/s", "Encrypt", "TTL", "Log", "Combined"},
 	}
-	features := fig4Features()
 	// tput[featureIdx][letter]
-	tput := make([]map[string]float64, len(features))
-	for fi, f := range features {
+	tput := make([]map[string]float64, len(fig4Features))
+	for fi, fs := range fig4Features {
 		tput[fi] = map[string]float64{}
 		for _, letter := range ycsb.WorkloadLetters() {
-			v, err := measureYCSB(engine, f, letter, cfg)
+			run, err := ycsbLeg(engine, fs.f, letter, cfg)
 			if err != nil {
-				return res, fmt.Errorf("%s/%s/%s: %w", engine, f.name, letter, err)
+				return res, fmt.Errorf("%s/%s/%s: %w", engine, fs.name, letter, err)
 			}
-			tput[fi][letter] = v
+			tput[fi][letter] = run.Throughput()
 		}
 	}
 	for _, letter := range ycsb.WorkloadLetters() {
 		base := tput[0][letter]
 		row := []string{letter, f0(base)}
-		for fi := 1; fi < len(features); fi++ {
+		for fi := 1; fi < len(fig4Features); fi++ {
 			row = append(row, pct(100*tput[fi][letter]/base))
 		}
 		res.Rows = append(res.Rows, row)
@@ -93,143 +79,4 @@ func runFig4(engine string, scale Scale) (Result, error) {
 			"paper: encrypt/ttl ~10-20% drop, log ~30-40% drop, combined ~50-60% of baseline (~2x)")
 	}
 	return res, nil
-}
-
-// measureYCSB loads and runs one YCSB workload on a freshly-built engine
-// with the given features, returning throughput (ops/s).
-func measureYCSB(engine string, f featureSet, letter string, cfg ycsb.Config) (float64, error) {
-	dir, err := os.MkdirTemp("", "gdprbench-fig4-*")
-	if err != nil {
-		return 0, err
-	}
-	defer os.RemoveAll(dir)
-
-	kv, cleanup, err := buildYCSBEngine(engine, f, dir)
-	if err != nil {
-		return 0, err
-	}
-	defer cleanup()
-
-	if _, err := ycsb.Load(kv, cfg); err != nil {
-		return 0, err
-	}
-	// Warm up caches and steady-state structures before measuring.
-	warm := cfg
-	warm.MaxTime = cfg.MaxTime / 3
-	if _, err := ycsb.Run(kv, letter, warm); err != nil {
-		return 0, err
-	}
-	// Median of three fixed-duration windows damps scheduler/GC noise.
-	var samples []float64
-	for i := 0; i < 3; i++ {
-		run, err := ycsb.Run(kv, letter, cfg)
-		if err != nil {
-			return 0, err
-		}
-		if run.TotalErrors() > 0 {
-			return 0, fmt.Errorf("%d operation errors", run.TotalErrors())
-		}
-		samples = append(samples, run.Throughput())
-	}
-	sort.Float64s(samples)
-	return samples[1], nil
-}
-
-// buildYCSBEngine assembles one engine + binding for a feature set.
-// Mapping of features to mechanisms matches §5 (see core's client docs).
-func buildYCSBEngine(engine string, f featureSet, dir string) (ycsb.KV, func(), error) {
-	ttlHorizon := func() (int64, bool) {
-		return time.Now().Add(24 * time.Hour).UnixNano(), true
-	}
-	switch engine {
-	case "redis":
-		kvCfg := kvstore.Config{}
-		if f.log {
-			kvCfg.AOFPath = filepath.Join(dir, "redis.aof")
-			kvCfg.AOFSync = kvstore.FsyncEverySec
-			kvCfg.LogReads = true
-		}
-		if f.encrypt && f.log {
-			kvCfg.EncryptionKey = securefs.Key("fig4/aof")
-		}
-		if f.ttl {
-			kvCfg.ExpiryMode = kvstore.ExpiryStrict
-		}
-		s, err := kvstore.Open(kvCfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		b := ycsb.NewKVStoreBinding(s)
-		if f.ttl {
-			b.SetTTLFunc(ttlHorizon)
-			s.StartExpiry()
-		}
-		var pipe *transit.Pipe
-		if f.encrypt {
-			pipe, err = transit.NewPipe(securefs.Key("fig4/redis-transit"))
-			if err != nil {
-				s.Close()
-				return nil, nil, err
-			}
-		}
-		// Every configuration pays the wire-marshaling boundary; only the
-		// encrypt feature adds the record-layer cipher.
-		return ycsb.NewWireKV(b, pipe), func() { s.Close() }, nil
-
-	case "postgres":
-		relCfg := relstore.Config{
-			WALPath: filepath.Join(dir, "pg.wal"),
-			WALSync: wal.SyncBatched,
-		}
-		if f.encrypt {
-			relCfg.EncryptionKey = securefs.Key("fig4/wal")
-		}
-		var log *audit.Log
-		if f.log {
-			var err error
-			log, err = audit.Open(audit.Config{
-				Path:   filepath.Join(dir, "pg-csvlog"),
-				Policy: audit.SyncEverySec,
-			})
-			if err != nil {
-				return nil, nil, err
-			}
-			relCfg.Audit = log
-			relCfg.LogStatements = true
-		}
-		db, err := relstore.Open(relCfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		b, err := ycsb.NewRelStoreBinding(db, "usertable")
-		if err != nil {
-			db.Close()
-			return nil, nil, err
-		}
-		if f.ttl {
-			b.SetTTLFunc(ttlHorizon)
-			if err := db.StartTTLDaemon("usertable", "ttl", time.Second); err != nil {
-				db.Close()
-				return nil, nil, err
-			}
-		}
-		var pipe *transit.Pipe
-		if f.encrypt {
-			pipe, err = transit.NewPipe(securefs.Key("fig4/pg-transit"))
-			if err != nil {
-				db.Close()
-				return nil, nil, err
-			}
-		}
-		cleanup := func() {
-			db.Close()
-			if log != nil {
-				log.Close()
-			}
-		}
-		return ycsb.NewWireKV(b, pipe), cleanup, nil
-
-	default:
-		return nil, nil, fmt.Errorf("experiments: unknown engine %q", engine)
-	}
 }

@@ -2,11 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"os"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/stats"
 	"repro/internal/ycsb"
 )
 
@@ -24,65 +22,6 @@ func gdprConfig(scale Scale) core.Config {
 		cfg = core.Config{Records: 100_000, Operations: 10_000, Threads: 8, Seed: 1}
 	}
 	return cfg.WithDefaults()
-}
-
-// openClient builds a fully-compliant client of the requested engine in a
-// fresh temp dir (removed by the returned cleanup).
-func openClient(engine string, indexed bool) (core.DB, func(), error) {
-	dir, err := os.MkdirTemp("", "gdprbench-exp-*")
-	if err != nil {
-		return nil, nil, err
-	}
-	comp := core.Full()
-	comp.MetadataIndexing = indexed
-	db, err := core.Open(core.Options{Engine: engine, Dir: dir, Compliance: comp}, nil)
-	if err != nil {
-		os.RemoveAll(dir)
-		return nil, nil, err
-	}
-	cleanup := func() {
-		db.Close()
-		os.RemoveAll(dir)
-	}
-	return db, cleanup, nil
-}
-
-// gdprRun executes the requested workloads on a fully-compliant engine,
-// each against a freshly loaded database (as GDPRbench does — the
-// controller workload's bulk deletions must not starve the later
-// workloads, and audit trails must not accumulate across runs), and
-// returns per-workload stats plus the post-load space usage.
-func gdprRun(engine string, indexed bool, cfg core.Config, names []core.WorkloadName) (map[core.WorkloadName]*stats.Run, core.SpaceUsage, error) {
-	out := make(map[core.WorkloadName]*stats.Run, len(names))
-	var space core.SpaceUsage
-	for _, name := range names {
-		db, cleanup, err := openClient(engine, indexed)
-		if err != nil {
-			return nil, space, err
-		}
-		ds, _, err := core.Load(db, cfg, nil)
-		if err != nil {
-			cleanup()
-			return nil, space, err
-		}
-		if space.TotalBytes == 0 {
-			space, err = db.SpaceUsage()
-			if err != nil {
-				cleanup()
-				return nil, space, err
-			}
-		}
-		run, err := core.Run(db, ds, name, nil)
-		cleanup()
-		if err != nil {
-			return nil, space, fmt.Errorf("%s: %w", name, err)
-		}
-		if run.TotalErrors() > 0 {
-			return nil, space, fmt.Errorf("%s: %d operation errors", name, run.TotalErrors())
-		}
-		out[name] = run
-	}
-	return out, space, nil
 }
 
 // runFig5 reproduces Figures 5a/5b/5c: GDPRbench workload completion
@@ -103,12 +42,12 @@ func runFig5(engine string, indexed bool, scale Scale) (Result, error) {
 		Title:  fmt.Sprintf("GDPRbench completion time on %s (Figure %s)", title, id[1:]),
 		Header: []string{"Workload", "Completion time", "Throughput ops/s"},
 	}
-	runs, _, err := gdprRun(engine, indexed, cfg, core.WorkloadNames())
-	if err != nil {
-		return res, err
-	}
+	l := leg{opts: full(engine, indexed), cfg: cfg}
 	for _, name := range core.WorkloadNames() {
-		run := runs[name]
+		run, err := l.run(name)
+		if err != nil {
+			return res, err
+		}
 		res.Rows = append(res.Rows, []string{
 			string(name), run.WallTime().Round(time.Millisecond).String(), f1(run.Throughput()),
 		})
@@ -147,17 +86,12 @@ func runTable3(scale Scale) (Result, error) {
 		{"Redis w/ metadata indices", "redis", true},
 	}
 	for _, c := range configs {
-		db, cleanup, err := openClient(c.engine, c.indexed)
-		if err != nil {
-			return res, err
-		}
-		_, _, err = core.Load(db, cfg, nil)
-		if err != nil {
-			cleanup()
-			return res, err
-		}
-		space, err := db.SpaceUsage()
-		cleanup()
+		var space core.SpaceUsage
+		err := leg{opts: full(c.engine, c.indexed), cfg: cfg}.with(func(db core.DB, _ *core.Dataset) error {
+			var err error
+			space, err = db.SpaceUsage()
+			return err
+		})
 		if err != nil {
 			return res, err
 		}
@@ -185,19 +119,18 @@ func runFig6(scale Scale) (Result, error) {
 		Title:  "YCSB vs GDPRbench throughput on compliant engines (Figure 6)",
 		Header: []string{"System", "YCSB ops/s", "GDPRbench ops/s", "Gap"},
 	}
-	combined := featureSet{name: "combined", encrypt: true, ttl: true, log: true}
 	for _, engine := range []string{"redis", "postgres"} {
-		y, err := measureYCSB(engine, combined, "A", ycsbCfg)
-		if err != nil {
-			return res, err
-		}
-		runs, _, err := gdprRun(engine, false, gdprCfg, core.WorkloadNames())
+		y, err := ycsbLeg(engine, combined, "A", ycsbCfg)
 		if err != nil {
 			return res, err
 		}
 		var ops int64
 		var wall time.Duration
-		for _, run := range runs {
+		for _, name := range core.WorkloadNames() {
+			run, err := leg{opts: full(engine, false), cfg: gdprCfg}.run(name)
+			if err != nil {
+				return res, err
+			}
 			ops += run.TotalOps()
 			wall += run.WallTime()
 		}
@@ -206,7 +139,7 @@ func runFig6(scale Scale) (Result, error) {
 		if engine == "postgres" {
 			name = "PostgreSQL"
 		}
-		res.Rows = append(res.Rows, []string{name, f0(y), f1(g), fmt.Sprintf("%.0fx", y/g)})
+		res.Rows = append(res.Rows, []string{name, f0(y.Throughput()), f1(g), fmt.Sprintf("%.0fx", y.Throughput()/g)})
 	}
 	res.Notes = append(res.Notes,
 		"paper: YCSB ~10000 ops/s on both; GDPR workloads 2-3 (PostgreSQL) to 4 (Redis) orders of magnitude slower")

@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"os"
 	"runtime"
-	"sort"
 	"time"
 
 	"repro/internal/audit"
@@ -31,7 +29,6 @@ func runShardScale(scale Scale) (Result, error) {
 	if scale == Paper {
 		cfg = core.Config{Records: 100_000, Operations: 10_000, Threads: 8, Seed: 1}
 	}
-	cfg = cfg.WithDefaults()
 	res := Result{
 		ID:     "F9",
 		Title:  "Sharded engines: GDPRbench customer completion time vs shard count (F9)",
@@ -40,18 +37,16 @@ func runShardScale(scale Scale) (Result, error) {
 	for _, n := range shardCounts {
 		row := []string{fmt.Sprintf("%d", n)}
 		for _, engine := range []string{"redis", "postgres"} {
-			// Median of three fresh loads+runs damps warmup noise, like
-			// the F7/F8 scale experiments.
-			var walls []time.Duration
-			for i := 0; i < 3; i++ {
-				wall, err := shardedCustomerRun(engine, n, cfg)
-				if err != nil {
-					return res, err
-				}
-				walls = append(walls, wall)
+			l := leg{
+				opts:  core.Options{Engine: engine, Shards: n, Compliance: core.Full(), AuditPolicy: audit.PipeBatched},
+				route: func(e []core.Engine) (core.Engine, error) { return shard.New(e) },
+				cfg:   cfg,
 			}
-			sort.Slice(walls, func(i, j int) bool { return walls[i] < walls[j] })
-			row = append(row, walls[1].Round(time.Millisecond).String())
+			wall, err := l.medianWall(core.Customer)
+			if err != nil {
+				return res, err
+			}
+			row = append(row, wall.Round(time.Millisecond).String())
 		}
 		res.Rows = append(res.Rows, row)
 	}
@@ -59,33 +54,4 @@ func runShardScale(scale Scale) (Result, error) {
 		"beyond the paper: §6.3 measures degradation with volume; F9 measures recovery with shards",
 		fmt.Sprintf("scatter-gather scan speedup is hardware-bound: GOMAXPROCS=%d on this run", runtime.GOMAXPROCS(0)))
 	return res, nil
-}
-
-// shardedCustomerRun loads a fresh sharded engine and times the customer
-// workload (the paper's representative metadata-heavy role).
-func shardedCustomerRun(engine string, shards int, cfg core.Config) (time.Duration, error) {
-	dir, err := os.MkdirTemp("", "gdprbench-f9-*")
-	if err != nil {
-		return 0, err
-	}
-	defer os.RemoveAll(dir)
-	db, err := shard.Open(core.Options{
-		Engine: engine, Shards: shards, Dir: dir, Compliance: core.Full(), AuditPolicy: audit.PipeBatched,
-	})
-	if err != nil {
-		return 0, err
-	}
-	defer db.Close()
-	ds, _, err := core.Load(db, cfg, nil)
-	if err != nil {
-		return 0, err
-	}
-	run, err := core.Run(db, ds, core.Customer, nil)
-	if err != nil {
-		return 0, err
-	}
-	if run.TotalErrors() > 0 {
-		return 0, fmt.Errorf("customer x%d shards: %d operation errors", shards, run.TotalErrors())
-	}
-	return run.WallTime(), nil
 }

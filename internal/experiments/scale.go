@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"os"
-	"sort"
 	"time"
 
 	"repro/internal/core"
@@ -38,42 +36,13 @@ func runScaleYCSB(engine string, scale Scale) (Result, error) {
 		Title:  fmt.Sprintf("%s: YCSB-C completion time vs DB size (Figure %s)", title, id[1:]),
 		Header: []string{"Total records", "Completion time"},
 	}
-	combined := featureSet{name: "combined", encrypt: true, ttl: true, log: true}
 	for _, n := range sizes {
-		cfg := ycsb.Config{Records: n, Operations: ops, Threads: 8, Seed: 1}
-		dir, err := os.MkdirTemp("", "gdprbench-scale-*")
+		run, err := ycsbLeg(engine, combined, "C", ycsb.Config{Records: n, Operations: ops, Threads: 8, Seed: 1})
 		if err != nil {
 			return res, err
 		}
-		kv, cleanup, err := buildYCSBEngine(engine, combined, dir)
-		if err != nil {
-			os.RemoveAll(dir)
-			return res, err
-		}
-		if _, err := ycsb.Load(kv, cfg); err != nil {
-			cleanup()
-			os.RemoveAll(dir)
-			return res, err
-		}
-		// Median of three runs damps TTL-daemon and GC interference.
-		var walls []time.Duration
-		var runErr error
-		for i := 0; i < 3; i++ {
-			run, err := ycsb.Run(kv, "C", cfg)
-			if err != nil {
-				runErr = err
-				break
-			}
-			walls = append(walls, run.WallTime())
-		}
-		cleanup()
-		os.RemoveAll(dir)
-		if runErr != nil {
-			return res, runErr
-		}
-		sort.Slice(walls, func(i, j int) bool { return walls[i] < walls[j] })
 		res.Rows = append(res.Rows, []string{
-			fmt.Sprintf("%d", n), walls[1].Round(time.Millisecond).String(),
+			fmt.Sprintf("%d", n), run.WallTime().Round(time.Millisecond).String(),
 		})
 	}
 	res.Notes = append(res.Notes,
@@ -105,19 +74,13 @@ func runScaleGDPR(engine string, indexed bool, scale Scale) (Result, error) {
 		Header: []string{"Personal records", "Completion time"},
 	}
 	for _, n := range sizes {
-		cfg := core.Config{Records: n, Operations: ops, Threads: 8, Seed: 1}.WithDefaults()
-		// Median of three fresh loads+runs damps first-run warmup noise.
-		var walls []time.Duration
-		for i := 0; i < 3; i++ {
-			runs, _, err := gdprRun(engine, indexed, cfg, []core.WorkloadName{core.Customer})
-			if err != nil {
-				return res, err
-			}
-			walls = append(walls, runs[core.Customer].WallTime())
+		cfg := core.Config{Records: n, Operations: ops, Threads: 8, Seed: 1}
+		wall, err := leg{opts: full(engine, indexed), cfg: cfg}.medianWall(core.Customer)
+		if err != nil {
+			return res, err
 		}
-		sort.Slice(walls, func(i, j int) bool { return walls[i] < walls[j] })
 		res.Rows = append(res.Rows, []string{
-			fmt.Sprintf("%d", n), walls[1].Round(time.Millisecond).String(),
+			fmt.Sprintf("%d", n), wall.Round(time.Millisecond).String(),
 		})
 	}
 	if engine == "redis" {

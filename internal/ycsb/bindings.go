@@ -183,11 +183,6 @@ func NewWireKV(inner KV, pipe *transit.Pipe) *WireKV {
 	return &WireKV{Inner: inner, Pipe: pipe}
 }
 
-// NewEncryptedKV wraps inner with an encrypting wire layer.
-func NewEncryptedKV(inner KV, pipe *transit.Pipe) *WireKV {
-	return &WireKV{Inner: inner, Pipe: pipe}
-}
-
 func (e *WireKV) roundTrip(req string, fn func() (string, error)) (string, error) {
 	if e.Pipe == nil {
 		// Plaintext framing: the request and response still cross the

@@ -233,7 +233,7 @@ func TestEncryptedKVRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewEncryptedKV(newMemKV(), pipe)
+	e := NewWireKV(newMemKV(), pipe)
 	if err := e.Insert("k", "v"); err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestEncryptedKVUnderConcurrency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewEncryptedKV(newMemKV(), pipe)
+	e := NewWireKV(newMemKV(), pipe)
 	cfg := Config{Records: 100, Operations: 500, Threads: 8, Seed: 5}
 	if _, err := Load(e, cfg); err != nil {
 		t.Fatal(err)
