@@ -1,5 +1,5 @@
 // Package logpipe is the one staged, group-committing log writer behind
-// the kvstore AOF and the audit trail:
+// the kvstore AOF, the audit trail and the relstore WAL:
 //
 //	producer ── sequencer+staging (one lock) ──▶ writer goroutine
 //	                                               ├─ Sink.Write(batch)
@@ -11,8 +11,8 @@
 // to the fill buffer; the writer swaps that buffer for an empty one and
 // hands it to the sink. Sequences are therefore dense and batches arrive
 // in sequence order by construction — whatever order producers hold when
-// they call Stage (a data-stripe lock, all of them, none) is the order on
-// disk.
+// they call Stage (a data-stripe lock, all of them, a table lock, none)
+// is the order on disk.
 //
 // The owner supplies a Sink and keeps everything format-specific (frame
 // encoding, file handles, swaps). A Sink must tolerate Sync running
@@ -22,8 +22,8 @@
 // Backpressure is a slot semaphore: a producer that reserved a slot keeps
 // it until its entry is written, so at most depth slotted entries are
 // staged but unwritten; the trail is lossless, only latency degrades.
-// Unslotted entries (read-log frames, expiry-cycle deletes) bypass it so
-// they never park inside a hot path. The first Write or Sync error is
+// Unslotted entries (read-log frames, expiry-cycle deletes, WAL records)
+// bypass it so they never park inside a hot path. The first Write or Sync error is
 // sticky: the log is no longer trustworthy, so the writer drops what is
 // staged and every later Reserve, Stage, Wait, Barrier, Sync and Close
 // returns that error.
@@ -63,8 +63,8 @@ const (
 	// FlushEverySec syncs at most once per FlushInterval, including once
 	// after the log goes idle with unsynced bytes.
 	FlushEverySec
-	// FlushEachBatch syncs after every batch: one leader fsync covers
-	// every producer in it.
+	// FlushEachBatch syncs after every batch: one fsync covers every
+	// producer in it.
 	FlushEachBatch
 )
 
@@ -345,6 +345,13 @@ func (p *Pipe[T]) Written() uint64 {
 	return p.written
 }
 
+// Durable returns the durable watermark.
+func (p *Pipe[T]) Durable() uint64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.durable
+}
+
 // Stats are the pipe's counters.
 type Stats struct {
 	Batches  int64 // Sink.Write calls
@@ -360,8 +367,9 @@ func (p *Pipe[T]) Stats() Stats {
 	return Stats{Batches: p.batches, Flushes: p.flushes, MaxQueue: p.maxQueue.Load()}
 }
 
-// Close refuses further entries, writes everything staged and stops the
-// writer. It returns the sticky error; closing twice is harmless.
+// Close refuses further entries, writes and syncs everything staged and
+// stops the writer. It returns the sticky error; closing twice is
+// harmless.
 func (p *Pipe[T]) Close() error {
 	p.seqMu.Lock()
 	first := !p.closed
@@ -387,8 +395,12 @@ func (p *Pipe[T]) run() {
 		select {
 		case <-p.quit:
 			// closed was set under seqMu before quit closed, so this swap
-			// takes everything that will ever be staged.
+			// takes everything that will ever be staged. A clean close
+			// leaves it all on stable storage, whatever the flush policy.
 			p.consume(spare)
+			if p.isDirty() && !p.failed.Load() {
+				_ = p.syncTo(p.Written())
+			}
 			p.mu.Lock()
 			p.exited = true
 			p.mu.Unlock()

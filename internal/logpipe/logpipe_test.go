@@ -427,45 +427,52 @@ func TestMarkDurableReleasesWaiters(t *testing.T) {
 	}
 }
 
-// TestCloseDrainsEverythingStaged: entries staged by many producers right
-// up to Close all reach the sink, and the closed pipe refuses more.
+// TestCloseDrainsEverythingStaged: under every flush policy, entries
+// staged by many producers right up to Close all reach the sink, Close
+// ends with a sync covering the last of them, and the closed pipe refuses
+// more.
 func TestCloseDrainsEverythingStaged(t *testing.T) {
-	sink := &fakeSink{}
-	p := newPipe(sink, Spec[item]{})
-	const producers, per = 8, 400
-	var wg sync.WaitGroup
-	for w := 0; w < producers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				if _, _, err := p.Stage(item{producer: w, n: i}, false); err != nil {
-					t.Error(err)
-					return
+	for _, flush := range []Flush{FlushNever, FlushEverySec, FlushEachBatch} {
+		sink := &fakeSink{}
+		p := newPipe(sink, Spec[item]{Flush: flush})
+		const producers, per = 8, 400
+		var wg sync.WaitGroup
+		for w := 0; w < producers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < per; i++ {
+					if _, _, err := p.Stage(item{producer: w, n: i}, false); err != nil {
+						t.Error(err)
+						return
+					}
 				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, _, _, _ := sink.snapshot()
-	if len(got) != producers*per {
-		t.Fatalf("sink holds %d entries after Close, want %d", len(got), producers*per)
-	}
-	for i, e := range got {
-		if e.seq != uint64(i+1) {
-			t.Fatalf("position %d holds seq %d", i, e.seq)
+			}(w)
 		}
-	}
-	if _, _, err := p.Stage(item{}, false); !errors.Is(err, ErrClosed) {
-		t.Errorf("Stage on a closed pipe = %v", err)
-	}
-	if _, err := p.Direct(item{}); !errors.Is(err, ErrClosed) {
-		t.Errorf("Direct on a closed pipe = %v", err)
-	}
-	if err := p.Close(); err != nil {
-		t.Errorf("second Close = %v", err)
+		wg.Wait()
+		if err := p.Close(); err != nil {
+			t.Fatal(err)
+		}
+		got, _, syncs, synced := sink.snapshot()
+		if len(got) != producers*per {
+			t.Fatalf("flush %d: sink holds %d entries after Close, want %d", flush, len(got), producers*per)
+		}
+		for i, e := range got {
+			if e.seq != uint64(i+1) {
+				t.Fatalf("flush %d: position %d holds seq %d", flush, i, e.seq)
+			}
+		}
+		if syncs == 0 || synced != len(got) {
+			t.Errorf("flush %d: last sync covers %d of %d entries (%d syncs)", flush, synced, len(got), syncs)
+		}
+		if _, _, err := p.Stage(item{}, false); !errors.Is(err, ErrClosed) {
+			t.Errorf("flush %d: Stage on a closed pipe = %v", flush, err)
+		}
+		if _, err := p.Direct(item{}); !errors.Is(err, ErrClosed) {
+			t.Errorf("flush %d: Direct on a closed pipe = %v", flush, err)
+		}
+		if err := p.Close(); err != nil {
+			t.Errorf("flush %d: second Close = %v", flush, err)
+		}
 	}
 }

@@ -48,8 +48,8 @@ type Config struct {
 // Concurrency model (see DESIGN.md): the DB-level mu is a meta lock —
 // every operation holds it shared for its whole duration, while
 // CreateTable, Recover and Close take it exclusively. Writers then take
-// their table's write lock, mutate the live view, append to the WAL, and
-// publish a copy-on-write snapshot before releasing; the group-commit
+// their table's write lock, mutate the live view, stage its WAL records
+// and publish a copy-on-write snapshot before releasing (DB.write); the
 // durability wait happens after the table lock is released, so
 // concurrent committers batch into one fsync. Readers load the published
 // snapshot and never take a table lock at all: reads on one table run in
@@ -117,25 +117,6 @@ func (db *DB) CreateTable(s Schema) error {
 	}
 	db.tables[s.Name] = t
 	return nil
-}
-
-// waitDurable blocks until the WAL record at lsn is on stable storage
-// (group commit). Called after the table lock is released so that
-// concurrent committers share one fsync.
-func (db *DB) waitDurable(lsn uint64) error {
-	if db.wal == nil || lsn == 0 {
-		return nil
-	}
-	return db.wal.WaitDurable(lsn)
-}
-
-// commit finishes a write: release the write lock, then wait for WAL
-// durability so concurrent committers batch into one fsync.
-func (db *DB) commit(t *Table, lsn uint64) error {
-	t.mu.Unlock()
-	err := db.waitDurable(lsn)
-	db.maybeCheckpoint()
-	return err
 }
 
 // CreateIndex builds a secondary index on table.col.
@@ -473,35 +454,126 @@ func (db *DB) logStatement(op, table, detail string, rows int, ok bool) {
 
 var errDBClosed = fmt.Errorf("relstore: database is closed")
 
-// Insert adds a row.
-func (db *DB) Insert(table string, row Row) error {
+// txn is one write statement's work under its table lock: the last LSN
+// it staged and the rows it changed.
+type txn struct {
+	wal   *wal.WAL // nil: no WAL
+	t     *Table
+	table string
+	lsn   uint64
+	rows  int
+}
+
+// write runs one write statement: fn mutates t.live under the table lock,
+// logging every changed row through logRow. The commit then marks the
+// snapshot stale, unlocks and makes one durability wait on the last
+// record — also after an error, because the rows already applied are
+// visible — and the statement logs one entry (op, the detail fn
+// returned, rows changed, err == nil). The wait runs off the table lock
+// so concurrent committers share one fsync.
+func (db *DB) write(op, table string, fn func(x *txn) (detail string, err error)) (int, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	if db.closed {
-		return errDBClosed
+		return 0, errDBClosed
 	}
 	t, err := db.tableLocked(table)
 	if err != nil {
-		return err
+		return 0, err
 	}
+	x := &txn{wal: db.wal, t: t, table: table}
 	t.mu.Lock()
-	if err := t.live.insert(row); err != nil {
-		t.mu.Unlock()
-		db.logStatement("INSERT", table, "", 0, false)
+	detail, err := fn(x)
+	if x.rows > 0 {
+		t.markDirty()
+	}
+	t.mu.Unlock()
+	if x.lsn > 0 {
+		if werr := x.wal.WaitDurable(x.lsn); err == nil {
+			err = werr
+		}
+	}
+	db.maybeCheckpoint()
+	db.logStatement(op, table, detail, x.rows, err == nil)
+	return x.rows, err
+}
+
+// logRow counts one changed row and stages its WAL record (row nil: a
+// delete).
+func (x *txn) logRow(rt wal.RecordType, pk string, row Row) error {
+	x.rows++
+	if x.wal == nil {
+		return nil
+	}
+	var rowBytes []byte
+	if row != nil {
+		rowBytes = encodeRow(x.t.live.schema, row)
+	}
+	lsn, err := x.wal.Append(rt, wal.EncodeKV(x.table, pk, rowBytes))
+	if err == nil {
+		x.lsn = lsn
+	}
+	return err
+}
+
+// insert adds row and returns its primary key.
+func (x *txn) insert(row Row) (string, error) {
+	if err := x.t.live.insert(row); err != nil {
+		return "", err
+	}
+	pk := row[x.t.live.pkCol].(string)
+	return pk, x.logRow(wal.RecInsert, pk, row)
+}
+
+// update replaces the row at pk with next.
+func (x *txn) update(pk string, next Row) error {
+	if err := x.t.live.update(pk, next); err != nil {
 		return err
 	}
-	pk := row[t.live.pkCol].(string)
-	var lsn uint64
-	if db.wal != nil {
-		if lsn, err = db.wal.Append(wal.RecInsert, wal.EncodeKV(table, pk, encodeRow(t.live.schema, row))); err != nil {
-			t.markDirty()
-			t.mu.Unlock()
+	return x.logRow(wal.RecUpdate, pk, next)
+}
+
+// apply replaces the row at pk, if there is one, with fn of it.
+func (x *txn) apply(pk string, fn func(Row) (Row, error)) error {
+	old, ok := x.t.live.get(pk)
+	if !ok {
+		return nil
+	}
+	next, err := fn(old)
+	if err != nil {
+		return err
+	}
+	return x.update(pk, next)
+}
+
+// delete removes the row at pk, if there is one.
+func (x *txn) delete(pk string) error {
+	if !x.t.live.delete(pk) {
+		return nil
+	}
+	return x.logRow(wal.RecDelete, pk, nil)
+}
+
+// each runs fn on the primary keys matching pred. Candidates resolve
+// through the key-only path: with an index on the predicate column (the
+// TTL daemon's case under MetadataIndexing) the statement touches
+// exactly the matching rows.
+func (x *txn) each(pred Predicate, fn func(pk string) error) error {
+	pks, err := x.t.live.selectKeys(pred)
+	if err != nil {
+		return err
+	}
+	for _, pk := range pks {
+		if err := fn(pk); err != nil {
 			return err
 		}
 	}
-	t.markDirty()
-	err = db.commit(t, lsn)
-	db.logStatement("INSERT", table, pk, 1, true)
+	return nil
+}
+
+// Insert adds a row.
+func (db *DB) Insert(table string, row Row) error {
+	_, err := db.write("INSERT", table, func(x *txn) (string, error) { return x.insert(row) })
 	return err
 }
 
@@ -511,43 +583,15 @@ func (db *DB) Insert(table string, row Row) error {
 // by core.Load. Rows apply in order; on the first bad row the rows
 // already applied stay applied and the error is returned.
 func (db *DB) InsertBatch(table string, rows []Row) error {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if db.closed {
-		return errDBClosed
-	}
-	t, err := db.tableLocked(table)
-	if err != nil {
-		return err
-	}
-	t.mu.Lock()
-	var lsn uint64
-	n := 0
-	for _, row := range rows {
-		if err = t.live.insert(row); err != nil {
-			break
-		}
-		n++
-		if db.wal != nil {
-			pk := row[t.live.pkCol].(string)
-			appended, aerr := db.wal.Append(wal.RecInsert, wal.EncodeKV(table, pk, encodeRow(t.live.schema, row)))
-			if aerr != nil {
-				// Keep the last successful LSN: the rows already applied
-				// are visible, so the commit below must still wait for
-				// their records' durability.
-				err = aerr
-				break
+	detail := fmt.Sprintf("batch=%d", len(rows))
+	_, err := db.write("INSERT", table, func(x *txn) (string, error) {
+		for _, row := range rows {
+			if _, err := x.insert(row); err != nil {
+				return detail, err
 			}
-			lsn = appended
 		}
-	}
-	if n > 0 {
-		t.markDirty()
-	}
-	if werr := db.commit(t, lsn); err == nil {
-		err = werr
-	}
-	db.logStatement("INSERT", table, fmt.Sprintf("batch=%d", len(rows)), n, err == nil)
+		return detail, nil
+	})
 	return err
 }
 
@@ -571,108 +615,21 @@ func (db *DB) Get(table, pk string) (Row, bool, error) {
 
 // Update replaces the row with primary key pk.
 func (db *DB) Update(table, pk string, row Row) error {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if db.closed {
-		return errDBClosed
-	}
-	t, err := db.tableLocked(table)
-	if err != nil {
-		return err
-	}
-	t.mu.Lock()
-	if err := t.live.update(pk, row); err != nil {
-		t.mu.Unlock()
-		db.logStatement("UPDATE", table, "pk="+pk, 0, false)
-		return err
-	}
-	var lsn uint64
-	if db.wal != nil {
-		if lsn, err = db.wal.Append(wal.RecUpdate, wal.EncodeKV(table, pk, encodeRow(t.live.schema, row))); err != nil {
-			t.markDirty()
-			t.mu.Unlock()
-			return err
-		}
-	}
-	t.markDirty()
-	err = db.commit(t, lsn)
-	db.logStatement("UPDATE", table, "pk="+pk, 1, true)
+	_, err := db.write("UPDATE", table, func(x *txn) (string, error) { return "pk=" + pk, x.update(pk, row) })
 	return err
 }
 
 // UpdateFunc loads the row at pk, applies fn, and stores the result.
 // It returns false if the row does not exist.
 func (db *DB) UpdateFunc(table, pk string, fn func(Row) (Row, error)) (bool, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if db.closed {
-		return false, errDBClosed
-	}
-	t, err := db.tableLocked(table)
-	if err != nil {
-		return false, err
-	}
-	t.mu.Lock()
-	old, ok := t.live.get(pk)
-	if !ok {
-		t.mu.Unlock()
-		db.logStatement("UPDATE", table, "pk="+pk, 0, true)
-		return false, nil
-	}
-	next, err := fn(old)
-	if err != nil {
-		t.mu.Unlock()
-		return false, err
-	}
-	if err := t.live.update(pk, next); err != nil {
-		t.mu.Unlock()
-		return false, err
-	}
-	var lsn uint64
-	if db.wal != nil {
-		if lsn, err = db.wal.Append(wal.RecUpdate, wal.EncodeKV(table, pk, encodeRow(t.live.schema, next))); err != nil {
-			t.markDirty()
-			t.mu.Unlock()
-			return false, err
-		}
-	}
-	t.markDirty()
-	err = db.commit(t, lsn)
-	db.logStatement("UPDATE", table, "pk="+pk, 1, true)
-	return true, err
+	n, err := db.write("UPDATE", table, func(x *txn) (string, error) { return "pk=" + pk, x.apply(pk, fn) })
+	return n > 0, err
 }
 
 // Delete removes the row with primary key pk, reporting whether it existed.
 func (db *DB) Delete(table, pk string) (bool, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if db.closed {
-		return false, errDBClosed
-	}
-	t, err := db.tableLocked(table)
-	if err != nil {
-		return false, err
-	}
-	t.mu.Lock()
-	existed := t.live.delete(pk)
-	var lsn uint64
-	if existed && db.wal != nil {
-		if lsn, err = db.wal.Append(wal.RecDelete, wal.EncodeKV(table, pk, nil)); err != nil {
-			t.markDirty()
-			t.mu.Unlock()
-			return existed, err
-		}
-	}
-	if existed {
-		t.markDirty()
-	}
-	err = db.commit(t, lsn)
-	n := 0
-	if existed {
-		n = 1
-	}
-	db.logStatement("DELETE", table, "pk="+pk, n, true)
-	return existed, err
+	n, err := db.write("DELETE", table, func(x *txn) (string, error) { return "pk=" + pk, x.delete(pk) })
+	return n > 0, err
 }
 
 // SelectKeys returns the primary keys matching pred: a key-only
@@ -694,98 +651,16 @@ func (db *DB) SelectKeys(table string, pred Predicate) ([]string, error) {
 }
 
 // DeleteWhere removes all rows matching pred, returning how many went.
-// Candidates resolve through the key-only path: with an index on the
-// predicate column (the TTL daemon's case under MetadataIndexing) the
-// sweep touches exactly the matching rows.
 func (db *DB) DeleteWhere(table string, pred Predicate) (int, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if db.closed {
-		return 0, errDBClosed
-	}
-	t, err := db.tableLocked(table)
-	if err != nil {
-		return 0, err
-	}
-	t.mu.Lock()
-	pks, err := t.live.selectKeys(pred)
-	if err != nil {
-		t.mu.Unlock()
-		return 0, err
-	}
-	var lsn uint64
-	n := 0
-	for _, pk := range pks {
-		if t.live.delete(pk) {
-			n++
-			if db.wal != nil {
-				if lsn, err = db.wal.Append(wal.RecDelete, wal.EncodeKV(table, pk, nil)); err != nil {
-					t.markDirty()
-					t.mu.Unlock()
-					return n, err
-				}
-			}
-		}
-	}
-	if n > 0 {
-		t.markDirty()
-	}
-	err = db.commit(t, lsn)
-	db.logStatement("DELETE", table, pred.String(), n, true)
-	return n, err
+	return db.write("DELETE", table, func(x *txn) (string, error) { return pred.String(), x.each(pred, x.delete) })
 }
 
 // UpdateWhere applies fn to every row matching pred, returning how many
 // rows were updated.
 func (db *DB) UpdateWhere(table string, pred Predicate, fn func(Row) (Row, error)) (int, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if db.closed {
-		return 0, errDBClosed
-	}
-	t, err := db.tableLocked(table)
-	if err != nil {
-		return 0, err
-	}
-	t.mu.Lock()
-	pks, err := t.live.selectKeys(pred)
-	if err != nil {
-		t.mu.Unlock()
-		return 0, err
-	}
-	var lsn uint64
-	n := 0
-	for _, pk := range pks {
-		old, ok := t.live.get(pk)
-		if !ok {
-			continue
-		}
-		next, err := fn(old)
-		if err != nil {
-			t.markDirty()
-			t.mu.Unlock()
-			return n, err
-		}
-		if err := t.live.update(pk, next); err != nil {
-			t.markDirty()
-			t.mu.Unlock()
-			return n, err
-		}
-		if db.wal != nil {
-			if lsn, err = db.wal.Append(wal.RecUpdate, wal.EncodeKV(table, pk, encodeRow(t.live.schema, next))); err != nil {
-				t.markDirty()
-				t.mu.Unlock()
-				return n, err
-			}
-		}
-		n++
-	}
-	if n > 0 {
-		t.markDirty()
-	}
-	err = db.commit(t, lsn)
-	db.logStatement("UPDATE", table, pred.String(), n, true)
-	return n, err
+	return db.write("UPDATE", table, func(x *txn) (string, error) {
+		return pred.String(), x.each(pred, func(pk string) error { return x.apply(pk, fn) })
+	})
 }
 
 // ScanPK returns up to limit rows in primary-key order starting at the

@@ -1,6 +1,7 @@
 package relstore
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -486,6 +487,87 @@ func TestStatementLogging(t *testing.T) {
 		if !ops[want] {
 			t.Fatalf("missing op %s in %v", want, ops)
 		}
+	}
+}
+
+// TestStatementLogPerWrite pins the csvlog entry of every write method
+// when it changes rows, changes nothing and fails: each statement that
+// resolved its table logs exactly one entry, after its commit wait, with
+// the rows it changed and OK = (err == nil). Insert and Update cannot
+// succeed without changing a row, so they have no no-op case.
+func TestStatementLogPerWrite(t *testing.T) {
+	errFn := errors.New("fn refused the row")
+	touch := func(r Row) (Row, error) { r[1] = "touched"; return r, nil }
+	refuse := func(Row) (Row, error) { return nil, errFn }
+	newRow := func(k string) Row { return row(k, "d", "neo", time.Time{}, nil, 0) }
+	neo, nobody, bad := Eq("usr", "neo"), Eq("usr", "nobody"), Eq("nocol", "x")
+	cases := []struct {
+		name   string
+		run    func(db *DB) error
+		target string
+		rows   int
+		ok     bool
+	}{
+		{"Insert/changed", func(db *DB) error { return db.Insert("records", newRow("k9")) }, "k9", 1, true},
+		{"Insert/failed", func(db *DB) error { return db.Insert("records", newRow("k1")) }, "", 0, false},
+		{"InsertBatch/changed", func(db *DB) error {
+			return db.InsertBatch("records", []Row{newRow("k8"), newRow("k9")})
+		}, "batch=2", 2, true},
+		{"InsertBatch/nothing", func(db *DB) error { return db.InsertBatch("records", nil) }, "batch=0", 0, true},
+		{"InsertBatch/failed", func(db *DB) error {
+			return db.InsertBatch("records", []Row{newRow("k9"), newRow("k1")})
+		}, "batch=2", 1, false},
+		{"Update/changed", func(db *DB) error { return db.Update("records", "k1", newRow("k1")) }, "pk=k1", 1, true},
+		{"Update/failed", func(db *DB) error { return db.Update("records", "nope", newRow("nope")) }, "pk=nope", 0, false},
+		{"UpdateFunc/changed", func(db *DB) error { _, err := db.UpdateFunc("records", "k1", touch); return err }, "pk=k1", 1, true},
+		{"UpdateFunc/nothing", func(db *DB) error { _, err := db.UpdateFunc("records", "nope", touch); return err }, "pk=nope", 0, true},
+		{"UpdateFunc/failed", func(db *DB) error { _, err := db.UpdateFunc("records", "k1", refuse); return err }, "pk=k1", 0, false},
+		{"Delete/changed", func(db *DB) error { _, err := db.Delete("records", "k1"); return err }, "pk=k1", 1, true},
+		{"Delete/nothing", func(db *DB) error { _, err := db.Delete("records", "nope"); return err }, "pk=nope", 0, true},
+		{"Delete/failed", func(db *DB) error {
+			// A WAL that refuses the record: the row is already gone from
+			// the live table, so the entry counts it.
+			db.wal.Close()
+			_, err := db.Delete("records", "k1")
+			return err
+		}, "pk=k1", 1, false},
+		{"DeleteWhere/changed", func(db *DB) error { _, err := db.DeleteWhere("records", neo); return err }, neo.String(), 2, true},
+		{"DeleteWhere/nothing", func(db *DB) error { _, err := db.DeleteWhere("records", nobody); return err }, nobody.String(), 0, true},
+		{"DeleteWhere/failed", func(db *DB) error { _, err := db.DeleteWhere("records", bad); return err }, bad.String(), 0, false},
+		{"UpdateWhere/changed", func(db *DB) error { _, err := db.UpdateWhere("records", neo, touch); return err }, neo.String(), 2, true},
+		{"UpdateWhere/nothing", func(db *DB) error { _, err := db.UpdateWhere("records", nobody, touch); return err }, nobody.String(), 0, true},
+		{"UpdateWhere/failed", func(db *DB) error { _, err := db.UpdateWhere("records", neo, refuse); return err }, neo.String(), 0, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			log, err := audit.Open(audit.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer log.Close()
+			db := openDB(t, Config{Audit: log, LogStatements: true, WALPath: filepath.Join(t.TempDir(), "pg.wal")})
+			if err := db.InsertBatch("records", []Row{newRow("k1"), newRow("k2"), row("k3", "d", "trinity", time.Time{}, nil, 0)}); err != nil {
+				t.Fatal(err)
+			}
+			before := log.Total()
+			if err := c.run(db); (err == nil) != c.ok {
+				t.Fatalf("err = %v, want ok=%v", err, c.ok)
+			}
+			if n := log.Total() - before; n != 1 {
+				t.Fatalf("statement logged %d entries, want 1", n)
+			}
+			tail, err := log.Tail(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := tail[0]
+			// Insert…, Update… and Delete… all log their first six letters.
+			want := audit.Entry{Actor: "relstore", Op: strings.ToUpper(c.name[:6]), Target: "records:" + c.target, OK: c.ok, Note: fmt.Sprintf("rows=%d", c.rows)}
+			if e.Actor != want.Actor || e.Op != want.Op || e.Target != want.Target || e.OK != want.OK || e.Note != want.Note {
+				t.Fatalf("entry = %s %q ok=%v %q, want %s %q ok=%v %q",
+					e.Op, e.Target, e.OK, e.Note, want.Op, want.Target, want.OK, want.Note)
+			}
+		})
 	}
 }
 

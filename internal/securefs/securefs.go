@@ -145,10 +145,10 @@ func (s *File) Flush() error {
 // Sync flushes and fsyncs the file. The userspace buffer is flushed
 // under the file lock, but the fsync itself runs outside it: fsync on a
 // file descriptor is safe concurrently with writes, and holding the lock
-// across it would stall every AppendFrame for the duration of the flush
-// — exactly the window the WAL's group commit uses to build its next
-// batch. Frames appended after the flush may or may not reach disk with
-// this sync; callers track their own durability watermark.
+// across it would stall every AppendFrame (and Size) on this file for the
+// duration of the flush. Frames appended after the flush may or may not
+// reach disk with this sync; callers track their own durability
+// watermark.
 func (s *File) Sync() error {
 	s.mu.Lock()
 	err := s.w.Flush()

@@ -3,11 +3,11 @@ package wal
 import "repro/internal/obs"
 
 // Group-commit telemetry, reported to the process-wide registry. Both
-// series fire once per leader fsync — the amortized point the group-commit
-// design already funnels every committer through — so the append path
-// itself stays untouched. wal_group_commit_lsns is the number of records
-// one leader fsync made durable (the batching-efficiency signal: 1 means
-// group commit degenerated to per-commit fsyncs).
+// series fire once per sink sync — every fsync the log's writer, its idle
+// flush, Sync and Close issue — so the append path itself stays
+// untouched. wal_group_commit_lsns is the number of records one fsync
+// made durable (the batching-efficiency signal: 1 means group commit
+// degenerated to per-commit fsyncs).
 var (
 	obsWALBatchLSNs = obs.Default().Histogram("wal_group_commit_lsns")
 	obsWALFsyncNs   = obs.Default().Histogram("wal_fsync_ns")

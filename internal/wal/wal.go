@@ -20,12 +20,10 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/clock"
+	"repro/internal/logpipe"
 	"repro/internal/securefs"
 )
 
@@ -76,13 +74,12 @@ type SyncPolicy int
 const (
 	// SyncOnCommit makes every committed operation wait for an fsync
 	// covering its record (synchronous_commit=on). The fsync is shared:
-	// Append only buffers the record, and WaitDurable batches all
-	// concurrent committers into one fsync (group commit), so N writers
-	// pay ~1 fsync instead of N.
+	// Append only stages the record, and the log's writer fsyncs once per
+	// batch it writes (group commit), so N committers pay ~1 fsync.
 	SyncOnCommit SyncPolicy = iota
 	// SyncBatched fsyncs at most once per second (off/local semantics):
-	// Append never syncs; a background flusher — PostgreSQL's walwriter —
-	// syncs what was appended since the last sync once per WAL-clock
+	// commits never wait, and the log's writer — PostgreSQL's walwriter —
+	// syncs what was written since the last sync once per WAL-clock
 	// second, so an acknowledged commit reaches disk even when no later
 	// Append comes.
 	SyncBatched
@@ -90,60 +87,66 @@ const (
 	SyncNever
 )
 
+// pipeModes maps a sync policy onto logpipe the way the AOF maps
+// appendfsync: always / everysec / no.
+func pipeModes(policy SyncPolicy) (logpipe.Wait, logpipe.Flush) {
+	switch policy {
+	case SyncOnCommit:
+		return logpipe.WaitDurable, logpipe.FlushEachBatch
+	case SyncBatched:
+		return logpipe.WaitNone, logpipe.FlushEverySec
+	default:
+		return logpipe.WaitNone, logpipe.FlushNever
+	}
+}
+
 // Config configures a WAL.
 type Config struct {
 	// Path is the backing file.
 	Path string
 	// Key enables at-rest encryption.
 	Key []byte
-	// Policy is the sync policy; default SyncBatched.
+	// Policy is the sync policy; the zero value is SyncOnCommit.
 	Policy SyncPolicy
-	// Clock paces the SyncBatched flusher and times fsyncs; defaults to
-	// the real clock.
+	// Clock paces SyncBatched's once-a-second flush and times fsyncs;
+	// defaults to the real clock.
 	Clock clock.Clock
 }
 
-// WAL is an append-only write-ahead log. It is safe for concurrent use.
-//
-// Commit protocol: Append assigns an LSN and buffers the record;
-// durability is a separate step. A committer that needs its record on
-// stable storage calls WaitDurable(lsn): the first committer through
-// becomes the sync leader and fsyncs everything appended so far, while
-// committers arriving during that fsync queue up and are covered either
-// by the leader's fsync (if their record was already buffered) or by the
-// single fsync the next leader issues for the whole queued batch. That
-// is group commit: under concurrency the fsync cost amortizes across all
-// in-flight commits instead of serializing per record.
-type WAL struct {
-	mu      sync.Mutex
-	file    *securefs.File
-	path    string
-	key     []byte
-	nextLSN uint64
-	policy  SyncPolicy
-	clk     clock.Clock
-	closed  bool
-	buf     []byte
-
-	// syncMu serializes fsyncs; the queue that forms on it is the group-
-	// commit batch. durable is the highest LSN known to be on stable
-	// storage.
-	syncMu  sync.Mutex
-	durable atomic.Uint64
-
-	// stop ends the SyncBatched idle flusher, which closes stopped on
-	// exit; both are nil under the other policies.
-	stop, stopped chan struct{}
+// entry is one staged record; the sink numbers it as it writes.
+type entry struct {
+	t       RecordType
+	payload []byte
 }
 
-// groupGatherYields is how many scheduler yields a batch leader performs
-// before flushing — the commit_delay analog, in scheduler quanta instead
-// of wall time (a timer sleep would round up to OS timer granularity,
-// ~1ms, dwarfing the fsync it amortizes). Each yield lets runnable
-// sibling committers append their records and queue behind the leader,
-// growing the batch its one fsync covers; when no siblings are runnable
-// the whole loop costs ~a microsecond.
-const groupGatherYields = 16
+// WAL is an append-only write-ahead log, the third sink behind
+// internal/logpipe. It is safe for concurrent use.
+//
+// Append stages a record and returns the pipe's sequence number as its
+// LSN. Sequences are dense from the recovered last LSN, so the sink
+// numbers records itself and file order is LSN order: whatever lock a
+// caller holds while it appends — relstore's table lock, the one that
+// orders apply — orders the records on disk too. Durability is the
+// pipe's: WaitDurable parks until a sync covers the record, and under
+// SyncOnCommit the writer syncs after every batch, so concurrent
+// committers share one fsync (group commit).
+type WAL struct {
+	pipe *logpipe.Pipe[entry]
+	path string
+	key  []byte
+	clk  clock.Clock
+
+	// fileMu serializes file IO and Rotate's swap: the writer's batches,
+	// every sink sync and Rotate take it.
+	fileMu sync.Mutex
+	file   *securefs.File
+	buf    []byte // encode buffer, used inside Write
+	last   uint64 // LSN of the last record written to file
+	synced uint64 // LSN the last fsync covered
+}
+
+// sink is the WAL as logpipe sees it (WAL.Sync is the pipe-wide one).
+type sink WAL
 
 // Open opens (creating if needed) the WAL at cfg.Path for appending. The
 // caller replays existing records first via Replay, then passes the last
@@ -157,33 +160,10 @@ func Open(cfg Config, lastLSN uint64) (*WAL, error) {
 	if clk == nil {
 		clk = clock.NewReal()
 	}
-	w := &WAL{file: f, path: cfg.Path, key: cfg.Key, nextLSN: lastLSN + 1, policy: cfg.Policy, clk: clk}
-	if w.policy == SyncBatched {
-		w.stop, w.stopped = make(chan struct{}), make(chan struct{})
-		go w.flushIdle()
-	}
+	w := &WAL{path: cfg.Path, key: cfg.Key, clk: clk, file: f, last: lastLSN, synced: lastLSN}
+	wait, flush := pipeModes(cfg.Policy)
+	w.pipe = logpipe.New[entry]((*sink)(w), logpipe.Spec[entry]{Wait: wait, Flush: flush, Clock: clk, Start: lastLSN})
 	return w, nil
-}
-
-// flushIdle is SyncBatched's only sync path: once per WAL-clock second it
-// syncs the records appended since the last sync, off every writer's
-// lock. A failed sync has no caller to report to; the records stay above
-// the durable watermark and the next second tries again.
-func (w *WAL) flushIdle() {
-	defer close(w.stopped)
-	for {
-		select {
-		case <-w.stop:
-			return
-		case <-w.clk.After(time.Second):
-		}
-		w.mu.Lock()
-		dirty := w.durable.Load() < w.nextLSN-1
-		w.mu.Unlock()
-		if dirty {
-			_ = w.Sync()
-		}
-	}
 }
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -203,126 +183,67 @@ func appendRecord(buf []byte, lsn uint64, t RecordType, payload []byte) []byte {
 	return buf
 }
 
-// Append logs one record and returns its LSN.
+// Append stages one record and returns its LSN. The WAL owns payload
+// until the record is written.
 func (w *WAL) Append(t RecordType, payload []byte) (uint64, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return 0, errors.New("wal: append to closed WAL")
-	}
-	lsn := w.nextLSN
-	w.nextLSN++
-
-	w.buf = appendRecord(w.buf, lsn, t, payload)
-	if err := w.file.AppendFrame(w.buf); err != nil {
-		return 0, err
-	}
-	// No policy syncs here: a SyncOnCommit committer calls WaitDurable,
-	// which batches concurrent commits into one fsync, and SyncBatched
-	// leaves it to flushIdle.
-	return lsn, nil
+	// Unslotted: relstore appends under its table lock, and one statement
+	// can append many rows, so a backpressure park must not happen here.
+	_, lsn, err := w.pipe.Stage(entry{t, payload}, false)
+	return lsn, err
 }
 
-// syncFile fsyncs on a dedicated goroutine and parks the caller on a
-// channel until it completes. Parking releases the caller's P, so other
-// goroutines — snapshot readers and the committers forming the next
-// group-commit batch — keep running while the kernel flushes. A raw
-// blocking fsync syscall would instead pin the P until the scheduler's
-// sysmon retakes it, which on a single-P runtime serializes everything
-// behind every flush.
-func (w *WAL) syncFile() error {
-	done := make(chan error, 1)
-	go func() { done <- w.file.Sync() }()
-	return <-done
-}
-
-// advanceDurable raises the durable watermark to target (monotonic).
-func (w *WAL) advanceDurable(target uint64) {
-	for {
-		cur := w.durable.Load()
-		if target <= cur || w.durable.CompareAndSwap(cur, target) {
-			return
+// Write is the logpipe sink's batch step: one frame per record.
+func (s *sink) Write(batch []entry) error {
+	s.fileMu.Lock()
+	defer s.fileMu.Unlock()
+	for _, e := range batch {
+		s.last++
+		s.buf = appendRecord(s.buf, s.last, e.t, e.payload)
+		if err := s.file.AppendFrame(s.buf); err != nil {
+			return err
 		}
 	}
-}
-
-// WaitDurable blocks until the record at lsn is on stable storage, using
-// group commit: one fsync covers every record appended before it runs,
-// so concurrent committers share the wait. Under SyncBatched and
-// SyncNever it returns immediately — those policies trade durability lag
-// for throughput by design (synchronous_commit=off), and their flushing
-// stays time- or OS-driven.
-func (w *WAL) WaitDurable(lsn uint64) error {
-	if w.policy != SyncOnCommit {
-		return nil
-	}
-	if w.durable.Load() >= lsn {
-		return nil
-	}
-	w.syncMu.Lock()
-	defer w.syncMu.Unlock()
-	if w.durable.Load() >= lsn {
-		// A leader that ran while we queued already covered our record.
-		return nil
-	}
-	// We are this batch's leader: yield a few scheduler quanta so any
-	// concurrent committers get to append their records into this batch,
-	// then fsync everything appended so far.
-	for i := 0; i < groupGatherYields; i++ {
-		runtime.Gosched()
-	}
-	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
-		return errors.New("wal: wait on closed WAL")
-	}
-	target := w.nextLSN - 1
-	start := w.clk.Now()
-	w.mu.Unlock()
-	batch := int64(target - w.durable.Load())
-	if err := w.syncFile(); err != nil {
-		return err
-	}
-	obsWALFsyncNs.ObserveDuration(w.clk.Since(start))
-	obsWALBatchLSNs.Observe(batch)
-	w.advanceDurable(target)
 	return nil
 }
+
+// Sync is the logpipe sink's fsync step.
+func (s *sink) Sync() error {
+	s.fileMu.Lock()
+	defer s.fileMu.Unlock()
+	start := s.clk.Now()
+	if err := s.file.Sync(); err != nil {
+		return err
+	}
+	obsWALFsyncNs.ObserveDuration(s.clk.Since(start))
+	obsWALBatchLSNs.Observe(int64(s.last - s.synced))
+	s.synced = s.last
+	return nil
+}
+
+// WaitDurable blocks until the record at lsn is on stable storage. Under
+// SyncBatched and SyncNever it returns at once — those policies trade
+// durability lag for throughput by design (synchronous_commit=off).
+func (w *WAL) WaitDurable(lsn uint64) error { return w.pipe.Wait(lsn) }
 
 // DurableLSN returns the highest LSN known to be on stable storage.
-func (w *WAL) DurableLSN() uint64 { return w.durable.Load() }
+func (w *WAL) DurableLSN() uint64 { return w.pipe.Durable() }
 
-// Sync forces buffered records to stable storage.
-func (w *WAL) Sync() error {
-	w.syncMu.Lock()
-	defer w.syncMu.Unlock()
-	w.mu.Lock()
-	if w.file == nil {
-		w.mu.Unlock()
-		return nil
-	}
-	target := w.nextLSN - 1
-	w.mu.Unlock()
-	if err := w.syncFile(); err != nil {
-		return err
-	}
-	w.advanceDurable(target)
-	return nil
-}
+// Sync forces every appended record to stable storage.
+func (w *WAL) Sync() error { return w.pipe.Sync() }
 
-// Size returns the on-disk size of the WAL.
+// Size returns the on-disk size of the WAL, every appended record
+// included.
 func (w *WAL) Size() (int64, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
+	if err := w.pipe.Barrier(); err != nil {
+		return 0, err
+	}
+	w.fileMu.Lock()
+	defer w.fileMu.Unlock()
 	return w.file.Size()
 }
 
 // NextLSN returns the LSN the next Append will use.
-func (w *WAL) NextLSN() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.nextLSN
-}
+func (w *WAL) NextLSN() uint64 { return w.pipe.Seq() + 1 }
 
 // RotatedSuffix names the file a Rotate moves the filled log segment to.
 const RotatedSuffix = ".old"
@@ -330,40 +251,28 @@ const RotatedSuffix = ".old"
 // Rotate seals the current log file and starts a fresh one at the same
 // path: the filled segment is fsynced, closed and renamed to
 // path+RotatedSuffix, and the LSN sequence continues into the new file.
-// It returns the highest LSN contained in the rotated-out segment — the
+// It returns the highest LSN the rotated-out segment holds — the
 // checkpoint "cut": once a checkpoint covering the cut is durable, the
 // rotated segment is redundant and may be deleted, which is how the WAL
 // prefix gets truncated without ever rewriting the live file. Callers
 // must not leave an earlier rotated segment at the target name (a second
-// rotation would clobber it).
+// rotation would clobber it). A failure fails the log: the live file may
+// be gone.
 func (w *WAL) Rotate() (cut uint64, err error) {
-	// syncMu first (the WaitDurable order) so no group-commit fsync can
-	// hold the old file handle across the swap.
-	w.syncMu.Lock()
-	defer w.syncMu.Unlock()
-	if cut, err = w.swapFile(); err != nil {
+	// Barrier first, so the old segment holds every record appended
+	// before the call. The writer and every sync then queue on fileMu: no
+	// batch lands and no sync counts until the new file and its
+	// directory entry are durable.
+	if err := w.pipe.Barrier(); err != nil {
 		return 0, err
 	}
-	// Make the rename and the new live file durable before any fsync into
-	// the new file can count: a crash that undid them would lose those
-	// records. syncMu alone holds off every such fsync (WaitDurable, Sync
-	// and the flusher all take it first), so appenders go on meanwhile.
-	if err := securefs.SyncDir(filepath.Dir(w.path)); err != nil {
-		return 0, err
-	}
-	return cut, nil
-}
-
-// swapFile is Rotate's w.mu-held part: it fsyncs and closes the live
-// file, renames it to path+RotatedSuffix, opens a fresh one in its place
-// and returns the last LSN of the old one. The caller holds syncMu.
-func (w *WAL) swapFile() (uint64, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return 0, errors.New("wal: rotate on closed WAL")
-	}
-	cut := w.nextLSN - 1
+	w.fileMu.Lock()
+	defer w.fileMu.Unlock()
+	defer func() {
+		if err != nil {
+			w.pipe.Fail(err)
+		}
+	}()
 	if err := w.file.Sync(); err != nil {
 		return 0, err
 	}
@@ -378,27 +287,26 @@ func (w *WAL) swapFile() (uint64, error) {
 		return 0, err
 	}
 	w.file = nf
-	// Everything in the rotated segment was fsynced above.
-	w.advanceDurable(cut)
-	return cut, nil
+	if err := securefs.SyncDir(filepath.Dir(w.path)); err != nil {
+		return 0, err
+	}
+	// Everything written so far is in the fsynced old segment.
+	w.synced = w.last
+	w.pipe.MarkDurable()
+	return w.last, nil
 }
 
-// Close stops the idle flusher, then flushes and closes the WAL. Close
-// is idempotent.
+// Close writes and syncs every appended record, then closes the WAL.
+// Close is idempotent.
 func (w *WAL) Close() error {
-	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
-		return nil
+	err := w.pipe.Close()
+	w.fileMu.Lock()
+	cerr := w.file.Close()
+	w.fileMu.Unlock()
+	if err != nil {
+		return err
 	}
-	w.closed = true
-	w.mu.Unlock()
-	if w.stop != nil {
-		// Unlocked: the flusher's Sync takes w.mu.
-		close(w.stop)
-		<-w.stopped
-	}
-	return w.file.Close()
+	return cerr
 }
 
 // Replay reads the WAL at path in order, calling fn for each intact

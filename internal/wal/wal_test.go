@@ -276,6 +276,23 @@ func TestIdleBatchedWALFlush(t *testing.T) {
 	}
 }
 
+// TestCloseSyncsBatchedWAL: a clean Close makes every appended record
+// durable, so a power loss after shutdown loses no acknowledged write
+// even under SyncBatched.
+func TestCloseSyncsBatchedWAL(t *testing.T) {
+	w, _ := openTemp(t, SyncBatched)
+	lsn, err := w.Append(RecDelete, EncodeKV("records", "erase-me", nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := w.DurableLSN(); got != lsn {
+		t.Fatalf("durable LSN after Close = %d, want %d", got, lsn)
+	}
+}
+
 func TestSizeGrows(t *testing.T) {
 	w, _ := openTemp(t, SyncNever)
 	s0, err := w.Size()
